@@ -87,18 +87,17 @@ void cholesky2d_body(Comm& comm, const BodyParams& params) {
               (*params.a)(me.my_rows[i], me.my_cols[j]);
   }
 
-  auto col_group = [&](int pc) {
-    std::vector<int> ranks;
-    ranks.reserve(static_cast<std::size_t>(g.rows()));
-    for (int pr = 0; pr < g.rows(); ++pr) ranks.push_back(g.rank_of(pr, pc));
-    return Group(std::move(ranks));
-  };
-  auto row_group = [&](int pr) {
-    std::vector<int> ranks;
-    ranks.reserve(static_cast<std::size_t>(g.cols()));
-    for (int pc = 0; pc < g.cols(); ++pc) ranks.push_back(g.rank_of(pr, pc));
-    return Group(std::move(ranks));
-  };
+  // My process column (all pr) and my process row (all pc). Both are step
+  // invariant; the panel's column group is mine whenever I take part in it.
+  std::vector<int> col_ranks, row_ranks;
+  col_ranks.reserve(static_cast<std::size_t>(g.rows()));
+  row_ranks.reserve(static_cast<std::size_t>(g.cols()));
+  for (int pr = 0; pr < g.rows(); ++pr)
+    col_ranks.push_back(g.rank_of(pr, me.pc));
+  for (int pc = 0; pc < g.cols(); ++pc)
+    row_ranks.push_back(g.rank_of(me.pr, pc));
+  const Group col_group(std::move(col_ranks));
+  const Group row_group(std::move(row_ranks));
 
   const int steps = n / nb;
   for (int s = 0; s < steps; ++s) {
@@ -112,7 +111,6 @@ void cholesky2d_body(Comm& comm, const BodyParams& params) {
     if (me.pc == pck) {
       const telemetry::ScopedSpan span(params.tel, me_rank,
                                        telemetry::kPanelFactor, s);
-      const Group cg = col_group(pck);
       if (numeric) {
         std::vector<double> buf(static_cast<std::size_t>(nb) * nb, 0.0);
         if (me.pr == prk) {
@@ -124,10 +122,10 @@ void cholesky2d_body(Comm& comm, const BodyParams& params) {
             for (int j = 0; j <= i; ++j)
               buf[static_cast<std::size_t>(i) * nb + j] = a00(i, j);
         }
-        simnet::bcast(comm, cg, prk, buf, make_tag(20, ts, 0));
+        simnet::bcast(comm, col_group, prk, buf, make_tag(20, ts, 0));
         std::copy(buf.begin(), buf.end(), l00.data());
       } else {
-        (void)simnet::bcast_ghost(comm, cg, prk,
+        (void)simnet::bcast_ghost(comm, col_group, prk,
                                   static_cast<std::size_t>(nb) * nb * 8,
                                   make_tag(20, ts, 0));
       }
@@ -148,7 +146,6 @@ void cholesky2d_body(Comm& comm, const BodyParams& params) {
     {
       const telemetry::ScopedSpan span(params.tel, me_rank,
                                        telemetry::kSchurUpdate, s);
-      const Group rg = row_group(me.pr);
       const Tag tag = make_tag(24, ts, 0);
       if (numeric) {
         std::vector<double> buf(static_cast<std::size_t>(mtrail) * nb);
@@ -157,12 +154,13 @@ void cholesky2d_body(Comm& comm, const BodyParams& params) {
             for (int q = 0; q < nb; ++q)
               buf[static_cast<std::size_t>(il) * nb + q] =
                   me.loc(mrow0 + il, me.lcol(k0) + q);
-        simnet::bcast(comm, rg, pck, buf, tag);
+        simnet::bcast(comm, row_group, pck, buf, tag);
         lpanel = Matrix(mtrail, nb);
         std::copy(buf.begin(), buf.end(), lpanel.data());
       } else {
-        (void)simnet::bcast_ghost(
-            comm, rg, pck, static_cast<std::size_t>(mtrail) * nb * 8, tag);
+        (void)simnet::bcast_ghost(comm, row_group, pck,
+                                  static_cast<std::size_t>(mtrail) * nb * 8,
+                                  tag);
       }
     }
 
@@ -178,7 +176,6 @@ void cholesky2d_body(Comm& comm, const BodyParams& params) {
     {
       const telemetry::ScopedSpan span(params.tel, me_rank,
                                        telemetry::kSchurUpdate, s);
-      const Group cg = col_group(me.pc);
       for (int pr = 0; pr < g.rows(); ++pr) {
         // Trailing columns of this process column whose L10 row lives on
         // process row pr — identical index arithmetic on every rank.
@@ -201,7 +198,7 @@ void cholesky2d_body(Comm& comm, const BodyParams& params) {
               for (int q = 0; q < nb; ++q) buf[off++] = row[q];
             }
           }
-          simnet::bcast(comm, cg, pr, buf, tag);
+          simnet::bcast(comm, col_group, pr, buf, tag);
           std::size_t off = 0;
           for (int c2 : rows_pr) {
             const int jc = me.lcol(c2) - ncol0;
@@ -209,8 +206,8 @@ void cholesky2d_body(Comm& comm, const BodyParams& params) {
           }
         } else {
           (void)simnet::bcast_ghost(
-              comm, cg, pr, rows_pr.size() * static_cast<std::size_t>(nb) * 8,
-              tag);
+              comm, col_group, pr,
+              rows_pr.size() * static_cast<std::size_t>(nb) * 8, tag);
         }
       }
     }

@@ -43,6 +43,11 @@ LuResult Candmc25D::run(const linalg::Matrix* a, const LuConfig& cfg) {
   const bool verify = numeric && cfg.verify;
   const bool gather = numeric && (cfg.verify || cfg.keep_factors);
   if (gather) gathered = linalg::Matrix(cfg.n, cfg.n);
+  // Dry runs: one host-built schedule, shared by every layer (identical
+  // pivots keep the replicas coherent).
+  std::vector<Scalapack2DDryStep> dry;
+  if (!numeric)
+    dry = scalapack2d_dry_schedule(cfg.n, nb, face.rows(), cfg.seed);
 
   simnet::Network net(active, cfg.fabric);
   factor::attach_instruments(net, cfg);
@@ -55,9 +60,9 @@ LuResult Candmc25D::run(const linalg::Matrix* a, const LuConfig& cfg) {
     params.g = face;
     params.base_rank = layer * face.active();
     params.numeric = numeric;
-    params.seed = cfg.seed;  // identical pivots keep replicas coherent
-    params.a = a;
+      params.a = a;
     params.tel = cfg.telemetry;
+    if (!numeric) params.dry = &dry;
     if (gather && layer == 0) {
       params.gathered = &gathered;
       params.ipiv_out = &ipiv;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 #include "grid/block_cyclic.hpp"
 #include "grid/grid_opt.hpp"
@@ -58,12 +57,86 @@ struct Local2D {
 
 }  // namespace
 
+std::vector<OwnerPair> swap_owner_pairs(std::span<const int> piv, int k0,
+                                        const BlockCyclic1D& rowmap) {
+  // Convert the kb sequential swaps into an explicit permutation:
+  // occupant[pos] = original row whose data must end up at position pos.
+  // A flat (pos, row) list beats a std::map here: at most 2*kb entries.
+  std::vector<std::pair<int, int>> occupant;
+  occupant.reserve(2 * piv.size());
+  auto occ = [&](int pos) {
+    for (const auto& [p, row] : occupant)
+      if (p == pos) return row;
+    return pos;
+  };
+  auto set_occ = [&](int pos, int row) {
+    for (auto& [p, r] : occupant)
+      if (p == pos) {
+        r = row;
+        return;
+      }
+    occupant.emplace_back(pos, row);
+  };
+  for (std::size_t i = 0; i < piv.size(); ++i) {
+    const int j = k0 + static_cast<int>(i);
+    if (piv[i] == j) continue;
+    const int oj = occ(j), op = occ(piv[i]);
+    set_occ(j, op);
+    set_occ(piv[i], oj);
+  }
+
+  // Group the moves by (source owner, destination owner); the stable sort
+  // keeps each pair's moves in `occupant` order.
+  struct Move {
+    int osrc, odst, src, pos;
+  };
+  std::vector<Move> all;
+  all.reserve(occupant.size());
+  for (const auto& [pos, src] : occupant)
+    if (pos != src)
+      all.push_back({rowmap.owner_of(src), rowmap.owner_of(pos), src, pos});
+  std::stable_sort(all.begin(), all.end(), [](const Move& a, const Move& b) {
+    return std::pair(a.osrc, a.odst) < std::pair(b.osrc, b.odst);
+  });
+  std::vector<OwnerPair> pairs;
+  for (const Move& m : all) {
+    if (pairs.empty() || pairs.back().osrc != m.osrc ||
+        pairs.back().odst != m.odst)
+      pairs.push_back({m.osrc, m.odst, {}});
+    pairs.back().moves.emplace_back(m.src, m.pos);
+  }
+  return pairs;
+}
+
+std::vector<Scalapack2DDryStep> scalapack2d_dry_schedule(int n, int nb,
+                                                         int grid_rows,
+                                                         std::uint64_t seed) {
+  CONFLUX_EXPECTS(n % nb == 0);
+  const BlockCyclic1D rowmap(n, nb, grid_rows);
+  std::vector<Scalapack2DDryStep> steps(static_cast<std::size_t>(n / nb));
+  for (std::size_t s = 0; s < steps.size(); ++s) {
+    // Synthetic pivots spread over the remaining rows.
+    const int k0 = static_cast<int>(s) * nb;
+    Scalapack2DDryStep& step = steps[s];
+    step.piv.resize(static_cast<std::size_t>(nb));
+    for (int j = k0; j < k0 + nb; ++j)
+      step.piv[static_cast<std::size_t>(j - k0)] =
+          j + static_cast<int>(swap_hash(seed, j) %
+                               static_cast<std::uint64_t>(n - j));
+    step.pairs = swap_owner_pairs(step.piv, k0, rowmap);
+  }
+  return steps;
+}
+
 void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
   const int n = params.n;
   const int nb = params.nb;
   const Grid2D& g = params.g;
   const bool numeric = params.numeric;
   CONFLUX_EXPECTS(n % nb == 0);
+  CONFLUX_EXPECTS(numeric || (params.dry != nullptr &&
+                              params.dry->size() ==
+                                  static_cast<std::size_t>(n / nb)));
   const int me_rank = comm.rank();
 
   Local2D me;
@@ -89,22 +162,19 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
   auto rank_of = [&](int pr, int pc) {
     return params.base_rank + g.rank_of(pr, pc);
   };
-  // The column group containing process column pc (all pr), and the row
-  // group containing process row pr (all pc).
-  auto col_group = [&](int pc) {
-    std::vector<int> ranks;
-    ranks.reserve(static_cast<std::size_t>(g.rows()));
-    for (int pr = 0; pr < g.rows(); ++pr) ranks.push_back(rank_of(pr, pc));
-    return Group(std::move(ranks));
-  };
-  auto row_group = [&](int pr) {
-    std::vector<int> ranks;
-    ranks.reserve(static_cast<std::size_t>(g.cols()));
-    for (int pc = 0; pc < g.cols(); ++pc) ranks.push_back(rank_of(pr, pc));
-    return Group(std::move(ranks));
-  };
+  // My process column (all pr) and my process row (all pc). Both are step
+  // invariant; the panel's column group is mine whenever I take part in it.
+  std::vector<int> col_ranks, row_ranks;
+  col_ranks.reserve(static_cast<std::size_t>(g.rows()));
+  row_ranks.reserve(static_cast<std::size_t>(g.cols()));
+  for (int pr = 0; pr < g.rows(); ++pr) col_ranks.push_back(rank_of(pr, me.pc));
+  for (int pc = 0; pc < g.cols(); ++pc) row_ranks.push_back(rank_of(me.pr, pc));
+  const Group col_group(std::move(col_ranks));
+  const Group row_group(std::move(row_ranks));
 
-  std::vector<int> ipiv(static_cast<std::size_t>(n), -1);
+  // Pivot indices are only materialized by numeric ranks; dry ranks read
+  // the host-precomputed schedule.
+  std::vector<int> ipiv(numeric ? static_cast<std::size_t>(n) : 0, -1);
   const int steps = n / nb;
 
   for (int s = 0; s < steps; ++s) {
@@ -113,13 +183,14 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
     const int pck = me.colmap.owner_of(k0);
     const int prk = me.rowmap.owner_of(k0);
     const std::uint32_t ts = static_cast<std::uint32_t>(s);
+    const Scalapack2DDryStep* dry =
+        numeric ? nullptr : &(*params.dry)[static_cast<std::size_t>(s)];
 
     // ---- Panel factorization (process column pck) ----------------------
     if (numeric) {
       if (me.pc == pck) {
         const telemetry::ScopedSpan span(params.tel, me_rank,
                                          telemetry::kPanelTournament, s);
-        const Group cg = col_group(pck);
         for (int j = k0; j < k0 + kb; ++j) {
           const std::uint32_t js = static_cast<std::uint32_t>(j - k0);
           // Local pivot search in column j, rows >= j.
@@ -133,8 +204,8 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
               mine.location = me.my_rows[static_cast<std::size_t>(il)];
             }
           }
-          const simnet::MaxLoc win =
-              simnet::allreduce_maxloc(comm, cg, mine, make_tag(20, ts, js));
+          const simnet::MaxLoc win = simnet::allreduce_maxloc(
+              comm, col_group, mine, make_tag(20, ts, js));
           const int piv = win.location >= 0 ? win.location : j;
           ipiv[static_cast<std::size_t>(j)] = piv;
 
@@ -172,7 +243,7 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
             for (int col = j; col < k0 + kb; ++col)
               seg[static_cast<std::size_t>(col - j)] = me.loc(r, me.lcol(col));
           }
-          simnet::bcast(comm, cg, powner, seg, make_tag(22, ts, js));
+          simnet::bcast(comm, col_group, powner, seg, make_tag(22, ts, js));
 
           // Scale column j below the diagonal and rank-1 update the panel.
           const double diag = seg[0];
@@ -189,30 +260,28 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
         }
       }
     } else {
-      // Dry run: synthetic pivots spread over the remaining rows; the
-      // per-column max-loc allreduces and pivot-row broadcasts are
-      // aggregated into per-panel ghosts of identical total volume.
+      // Dry run: the host-precomputed synthetic pivots stand in for the
+      // tournament; the per-column max-loc allreduces and pivot-row
+      // broadcasts are aggregated into per-panel ghosts of identical total
+      // volume.
       const telemetry::ScopedSpan span(params.tel, me_rank,
                                        telemetry::kPanelTournament, s);
-      for (int j = k0; j < k0 + kb; ++j)
-        ipiv[static_cast<std::size_t>(j)] =
-            j + static_cast<int>(swap_hash(params.seed, j) %
-                                 static_cast<std::uint64_t>(n - j));
       if (me.pc == pck) {
-        const Group cg = col_group(pck);
         const std::size_t pair_bytes =
             static_cast<std::size_t>(kb) * (sizeof(double) + sizeof(int));
-        simnet::reduce_ghost(comm, cg, 0, pair_bytes, make_tag(20, ts, 0));
-        (void)simnet::bcast_ghost(comm, cg, 0, pair_bytes,
+        simnet::reduce_ghost(comm, col_group, 0, pair_bytes,
+                             make_tag(20, ts, 0));
+        (void)simnet::bcast_ghost(comm, col_group, 0, pair_bytes,
                                   make_tag(20, ts, 1));
         // Pivot-row segments: sum over columns of (kb - jj) doubles.
         const std::size_t seg_doubles =
             static_cast<std::size_t>(kb) * (kb + 1) / 2;
-        (void)simnet::bcast_ghost(comm, cg, 0, seg_doubles * sizeof(double),
+        (void)simnet::bcast_ghost(comm, col_group, 0,
+                                  seg_doubles * sizeof(double),
                                   make_tag(22, ts, 0));
         // Panel-width swap exchanges.
         for (int j = k0; j < k0 + kb; ++j) {
-          const int piv = ipiv[static_cast<std::size_t>(j)];
+          const int piv = dry->piv[static_cast<std::size_t>(j - k0)];
           if (piv == j) continue;
           const int o1 = me.rowmap.owner_of(j);
           const int o2 = me.rowmap.owner_of(piv);
@@ -233,13 +302,13 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
     {
       const telemetry::ScopedSpan span(params.tel, me_rank,
                                        telemetry::kPivotApply, s);
-      const Group rg = row_group(me.pr);
       if (numeric) {
         std::vector<int> piv_step(ipiv.begin() + k0, ipiv.begin() + k0 + kb);
-        simnet::bcast_ints(comm, rg, pck, piv_step, make_tag(26, ts, 0));
+        simnet::bcast_ints(comm, row_group, pck, piv_step,
+                           make_tag(26, ts, 0));
         std::copy(piv_step.begin(), piv_step.end(), ipiv.begin() + k0);
       } else {
-        (void)simnet::bcast_ghost(comm, rg, pck,
+        (void)simnet::bcast_ghost(comm, row_group, pck,
                                   static_cast<std::size_t>(kb) * sizeof(int),
                                   make_tag(26, ts, 0));
       }
@@ -249,34 +318,14 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
     {
       const telemetry::ScopedSpan span(params.tel, me_rank,
                                        telemetry::kPivotApply, s);
-      // Convert the kb sequential swaps into an explicit permutation
-      // (pdlapiv semantics): occupant[pos] = original row whose data must
-      // end up at position pos. Applying moves from original positions is
-      // then order-independent, so messages batch safely even when swap
-      // chains share rows. A flat (pos, row) list beats a std::map here:
-      // at most 2*kb entries, rebuilt by every rank every step.
-      std::vector<std::pair<int, int>> occupant;
-      occupant.reserve(2 * static_cast<std::size_t>(kb));
-      auto occ = [&](int pos) {
-        for (const auto& [p, row] : occupant)
-          if (p == pos) return row;
-        return pos;
-      };
-      auto set_occ = [&](int pos, int row) {
-        for (auto& [p, r] : occupant)
-          if (p == pos) {
-            r = row;
-            return;
-          }
-        occupant.emplace_back(pos, row);
-      };
-      for (int j = k0; j < k0 + kb; ++j) {
-        const int piv = ipiv[static_cast<std::size_t>(j)];
-        if (piv == j) continue;
-        const int oj = occ(j), op = occ(piv);
-        set_occ(j, op);
-        set_occ(piv, oj);
-      }
+      std::vector<OwnerPair> pairs_storage;
+      if (numeric)
+        pairs_storage = swap_owner_pairs(
+            std::span<const int>(ipiv).subspan(static_cast<std::size_t>(k0),
+                                               static_cast<std::size_t>(kb)),
+            k0, me.rowmap);
+      const std::vector<OwnerPair>& pairs =
+          numeric ? pairs_storage : dry->pairs;
       // Columns outside the panel that I own (sender and receiver live in
       // the same process column, so both sides see the same width): local
       // indices [0, panel_lo) and [panel_hi, ncols), ascending.
@@ -289,92 +338,59 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
         for (int jl = 0; jl < panel_lo; ++jl) fn(jl);
         for (int jl = panel_hi; jl < ncols; ++jl) fn(jl);
       };
-
-      // Moves grouped by (source owner -> destination owner). Every rank
-      // iterates `occupant` in the same (deterministic) order, so the
-      // per-pair move lists agree between sender and receiver.
-      std::map<std::pair<int, int>, std::vector<std::pair<int, int>>> moves;
-      for (const auto& [pos, src] : occupant) {
-        if (pos == src) continue;
-        moves[{me.rowmap.owner_of(src), me.rowmap.owner_of(pos)}]
-            .emplace_back(src, pos);
-      }
-      // Stage all outgoing data before any write, then send, then receive.
-      std::vector<std::pair<int, int>> local_moves;  // (src, pos), same owner
-      struct Outgoing {
-        int dst_rank;
-        Tag tag;
-        std::vector<double> buf;
-        std::size_t count;
+      auto pair_tag = [ts](std::size_t i) {
+        return make_tag(23, ts, static_cast<std::uint32_t>(i + 1));
       };
-      std::vector<Outgoing> outbox;
-      unsigned pair_id = 0;
-      for (const auto& [owners, mv] : moves) {
-        const auto [osrc, odst] = owners;
-        ++pair_id;
-        if (osrc == odst) {
-          if (me.pr == osrc)
-            local_moves.insert(local_moves.end(), mv.begin(), mv.end());
-          continue;
-        }
-        if (me.pr == osrc) {
-          Outgoing out;
-          out.dst_rank = rank_of(odst, me.pc);
-          out.tag = make_tag(23, ts, pair_id);
-          out.count = mv.size() * out_count;
-          if (numeric) {
-            out.buf.reserve(out.count);
-            for (const auto& [src, pos] : mv) {
-              const int r = me.lrow(src);
-              for_each_out_col(
-                  [&](int jl) { out.buf.push_back(me.loc(r, jl)); });
-            }
+
+      // Moves read original positions, so every read happens before any
+      // write: send all outgoing batches, then apply my same-owner pair
+      // (staged), then receive.
+      for (std::size_t i = 0; i < pairs.size(); ++i) {
+        const OwnerPair& pair = pairs[i];
+        if (pair.osrc == pair.odst || me.pr != pair.osrc) continue;
+        const int dst_rank = rank_of(pair.odst, me.pc);
+        const std::size_t count = pair.moves.size() * out_count;
+        if (numeric) {
+          std::vector<double> buf;
+          buf.reserve(count);
+          for (const auto& [src, pos] : pair.moves) {
+            const int r = me.lrow(src);
+            for_each_out_col([&](int jl) { buf.push_back(me.loc(r, jl)); });
           }
-          outbox.push_back(std::move(out));
+          comm.send(dst_rank, pair_tag(i), std::move(buf));
+        } else {
+          comm.send_ghost_doubles(dst_rank, pair_tag(i), count);
         }
-      }
-      // Stage local (same-owner) moves: read everything, then write.
-      std::vector<std::vector<double>> staged;
-      if (numeric && me.pr >= 0) {
-        for (const auto& [src, pos] : local_moves) {
-          (void)pos;
-          std::vector<double> row;
-          row.reserve(out_count);
-          const int r = me.lrow(src);
-          for_each_out_col([&](int jl) { row.push_back(me.loc(r, jl)); });
-          staged.push_back(std::move(row));
-        }
-      }
-      for (auto& out : outbox) {
-        if (numeric)
-          comm.send(out.dst_rank, out.tag, std::move(out.buf));
-        else
-          comm.send_ghost_doubles(out.dst_rank, out.tag, out.count);
       }
       if (numeric) {
-        for (std::size_t i = 0; i < local_moves.size(); ++i) {
-          const int r = me.lrow(local_moves[i].second);
-          std::size_t idx = 0;
-          for_each_out_col([&](int jl) { me.loc(r, jl) = staged[i][idx++]; });
+        for (const OwnerPair& pair : pairs) {
+          if (pair.osrc != me.pr || pair.odst != me.pr) continue;
+          std::vector<double> staged;
+          staged.reserve(pair.moves.size() * out_count);
+          for (const auto& [src, pos] : pair.moves) {
+            const int r = me.lrow(src);
+            for_each_out_col([&](int jl) { staged.push_back(me.loc(r, jl)); });
+          }
+          const double* in = staged.data();
+          for (const auto& [src, pos] : pair.moves) {
+            const int r = me.lrow(pos);
+            for_each_out_col([&](int jl) { me.loc(r, jl) = *in++; });
+          }
         }
       }
-      pair_id = 0;
-      for (const auto& [owners, mv] : moves) {
-        const auto [osrc, odst] = owners;
-        ++pair_id;
-        if (osrc == odst || me.pr != odst) continue;
-        const Tag tag = make_tag(23, ts, pair_id);
-        const int src_rank = rank_of(osrc, me.pc);
+      for (std::size_t i = 0; i < pairs.size(); ++i) {
+        const OwnerPair& pair = pairs[i];
+        if (pair.osrc == pair.odst || me.pr != pair.odst) continue;
+        const int src_rank = rank_of(pair.osrc, me.pc);
         if (numeric) {
-          const simnet::BufferView buf = comm.recv_view(src_rank, tag);
+          const simnet::BufferView buf = comm.recv_view(src_rank, pair_tag(i));
           const double* in = buf.data();
-          for (const auto& [src, pos] : mv) {
-            (void)src;
+          for (const auto& [src, pos] : pair.moves) {
             const int r = me.lrow(pos);
             for_each_out_col([&](int jl) { me.loc(r, jl) = *in++; });
           }
         } else {
-          (void)comm.recv_ghost(src_rank, tag);
+          (void)comm.recv_ghost(src_rank, pair_tag(i));
         }
       }
     }
@@ -387,7 +403,6 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
     {
       const telemetry::ScopedSpan span(params.tel, me_rank,
                                        telemetry::kSchurUpdate, s);
-      const Group rg = row_group(me.pr);
       const Tag tag = make_tag(24, ts, 0);
       if (numeric) {
         std::vector<double> buf;
@@ -399,12 +414,13 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
         } else {
           buf.resize(static_cast<std::size_t>(m_loc) * kb);
         }
-        simnet::bcast(comm, rg, pck, buf, tag);
+        simnet::bcast(comm, row_group, pck, buf, tag);
         lpanel = Matrix(m_loc, kb);
         std::copy(buf.begin(), buf.end(), lpanel.data());
       } else {
-        (void)simnet::bcast_ghost(
-            comm, rg, pck, static_cast<std::size_t>(m_loc) * kb * 8, tag);
+        (void)simnet::bcast_ghost(comm, row_group, pck,
+                                  static_cast<std::size_t>(m_loc) * kb * 8,
+                                  tag);
       }
     }
 
@@ -415,7 +431,6 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
     {
       const telemetry::ScopedSpan span(params.tel, me_rank,
                                        telemetry::kTrsm, s);
-      const Group cg = col_group(me.pc);
       const Tag tag = make_tag(25, ts, 0);
       if (numeric) {
         std::vector<double> buf;
@@ -442,14 +457,15 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
         } else {
           buf.resize(static_cast<std::size_t>(kb) * ntrail);
         }
-        simnet::bcast(comm, cg, prk, buf, tag);
+        simnet::bcast(comm, col_group, prk, buf, tag);
         if (me.pr != prk) {
           u01 = Matrix(kb, ntrail);
           std::copy(buf.begin(), buf.end(), u01.data());
         }
       } else {
-        (void)simnet::bcast_ghost(
-            comm, cg, prk, static_cast<std::size_t>(kb) * ntrail * 8, tag);
+        (void)simnet::bcast_ghost(comm, col_group, prk,
+                                  static_cast<std::size_t>(kb) * ntrail * 8,
+                                  tag);
       }
     }
 
@@ -493,9 +509,14 @@ LuResult ScaLapack2D::run(const linalg::Matrix* a, const LuConfig& cfg) {
   params.g = g;
   params.base_rank = 0;
   params.numeric = (cfg.mode == Mode::Numeric);
-  params.seed = cfg.seed;
   params.a = a;
   params.tel = cfg.telemetry;
+  // Dry runs: the synthetic pivots and their owner pairs, once per step.
+  std::vector<Scalapack2DDryStep> dry;
+  if (!params.numeric) {
+    dry = scalapack2d_dry_schedule(cfg.n, nb, g.rows(), cfg.seed);
+    params.dry = &dry;
+  }
 
   linalg::Matrix gathered;
   std::vector<int> ipiv;

@@ -8,9 +8,9 @@
 namespace conflux::support {
 
 namespace {
-// Set while a thread is executing inside ThreadPool::worker_loop; used to
-// run nested parallel_for calls inline instead of deadlocking on busy
-// workers.
+// Set while a thread is executing inside ThreadPool::worker_loop, or
+// running the submitter's chunk of a parallel_for; used to run nested
+// parallel_for calls inline instead of deadlocking on busy workers.
 thread_local const ThreadPool* g_current_pool = nullptr;
 
 int default_pool_size() {
@@ -109,7 +109,14 @@ void ThreadPool::parallel_for(int begin, int end,
       queue_.emplace_back([run_chunk, c] { run_chunk(c); });
   }
   cv_.notify_all();
-  run_chunk(0);  // the submitting thread takes the first chunk
+  // The submitting thread takes the first chunk, as a pool member: a nested
+  // parallel_for from it must run inline like one from a worker. The
+  // workers may be held for the whole call (the virtual-time scheduler runs
+  // one fiber loop per chunk), so chunks it queued could never be taken.
+  const ThreadPool* const outer = g_current_pool;
+  g_current_pool = this;
+  run_chunk(0);
+  g_current_pool = outer;
 
   std::unique_lock lock(shared.done_mutex);
   shared.done_cv.wait(lock, [&shared] { return shared.remaining == 0; });

@@ -7,8 +7,9 @@
 ///  - No work stealing, no futures: callers submit closures and wait on a
 ///    counter. The kernels that use it partition work into a handful of
 ///    coarse chunks, so a mutex-protected queue is not a bottleneck.
-///  - Re-entrancy safe: parallel_for called from inside a pool worker runs
-///    the loop inline instead of deadlocking on the (busy) workers.
+///  - Re-entrancy safe: parallel_for called from inside a pool worker, or
+///    from the submitting thread while it runs its own chunk, runs the loop
+///    inline instead of deadlocking on the (busy) workers.
 ///  - Pool size comes from CONFLUX_THREADS when set, otherwise from
 ///    std::thread::hardware_concurrency(); a size of 1 means every
 ///    parallel_for runs inline and the pool spawns no threads at all.
@@ -42,7 +43,8 @@ class ThreadPool {
   void parallel_for(int begin, int end,
                     const std::function<void(int)>& body);
 
-  /// True when the calling thread is one of this pool's workers.
+  /// True when the calling thread is one of this pool's workers, or is the
+  /// submitter running its chunk of a parallel_for.
   [[nodiscard]] bool on_worker_thread() const;
 
  private:

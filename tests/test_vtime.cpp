@@ -2,13 +2,16 @@
 // counts far beyond the host's cores, LogGP clock semantics, bit-identical
 // determinism across repeated runs and worker counts, CommVolume parity
 // with the threaded rank team, the make_tag wide-layout regression, and
-// shared-channel-slot stress at P = 256.
+// shared-channel-slot stress at P = 256, and a numeric factorization on
+// the fiber scheduler with more than one worker.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <cstring>
 #include <vector>
 
+#include "linalg/generate.hpp"
+#include "lu/lu_common.hpp"
 #include "simnet/collectives.hpp"
 #include "simnet/spmd.hpp"
 #include "simnet/vtime.hpp"
@@ -380,6 +383,26 @@ TEST(VirtualTime, TelemetrySpansCarryVirtualTimestamps) {
   ASSERT_EQ(waits.size(), 1u);
   EXPECT_EQ(waits[0].begin_ns, 0u);
   EXPECT_EQ(waits[0].ns, expect_ns);
+}
+
+// --- numeric runs on the fiber scheduler (regression) -----------------------
+
+TEST(VirtualTime, NumericLuCompletesWithDefaultWorkers) {
+  // A fiber resumed on the thread that started the run used to queue its
+  // BLAS kernels' parallel_for chunks for pool workers that were all busy
+  // running fibers, and the run hung (CTest's TIMEOUT turns a recurrence
+  // into a failure). The default worker count is the pool size, so any
+  // multi-core host runs this with several workers.
+  const linalg::Matrix a =
+      linalg::generate(256, linalg::MatrixKind::Uniform, 61);
+  lu::LuConfig cfg;
+  cfg.n = 256;
+  cfg.p = 4;
+  cfg.mode = lu::Mode::Numeric;
+  cfg.fabric = virtual_fabric();
+  const lu::LuResult res = lu::make_algorithm("COnfLUX")->run(&a, cfg);
+  EXPECT_LT(res.residual, 1e-11) << res.grid;
+  EXPECT_GT(res.predicted_seconds, 0.0);
 }
 
 }  // namespace
