@@ -99,6 +99,7 @@ void cholesky2d_body(Comm& comm, const BodyParams& params) {
   const Group col_group(std::move(col_ranks));
   const Group row_group(std::move(row_ranks));
 
+  std::vector<std::vector<int>> rows_by_pr(static_cast<std::size_t>(g.rows()));
   const int steps = n / nb;
   for (int s = 0; s < steps; ++s) {
     const int k0 = s * nb;
@@ -107,7 +108,7 @@ void cholesky2d_body(Comm& comm, const BodyParams& params) {
     const std::uint32_t ts = static_cast<std::uint32_t>(s);
 
     // ---- Diagonal block: factor and broadcast L00 down the column -------
-    Matrix l00(nb, nb);
+    Matrix l00;  // nb x nb, numeric runs only
     if (me.pc == pck) {
       const telemetry::ScopedSpan span(params.tel, me_rank,
                                        telemetry::kPanelFactor, s);
@@ -123,6 +124,7 @@ void cholesky2d_body(Comm& comm, const BodyParams& params) {
               buf[static_cast<std::size_t>(i) * nb + j] = a00(i, j);
         }
         simnet::bcast(comm, col_group, prk, buf, make_tag(20, ts, 0));
+        l00 = Matrix(nb, nb);
         std::copy(buf.begin(), buf.end(), l00.data());
       } else {
         (void)simnet::bcast_ghost(comm, col_group, prk,
@@ -176,15 +178,19 @@ void cholesky2d_body(Comm& comm, const BodyParams& params) {
     {
       const telemetry::ScopedSpan span(params.tel, me_rank,
                                        telemetry::kSchurUpdate, s);
+      // Trailing columns of this process column bucketed by the process
+      // row holding their L10 row, ascending within each bucket — one
+      // pass, identical index arithmetic on every rank.
+      for (std::vector<int>& bucket : rows_by_pr) bucket.clear();
+      for (std::size_t jc = static_cast<std::size_t>(ncol0);
+           jc < me.my_cols.size(); ++jc) {
+        const int c2 = me.my_cols[jc];
+        rows_by_pr[static_cast<std::size_t>(me.rowmap.owner_of(c2))]
+            .push_back(c2);
+      }
       for (int pr = 0; pr < g.rows(); ++pr) {
-        // Trailing columns of this process column whose L10 row lives on
-        // process row pr — identical index arithmetic on every rank.
-        std::vector<int> rows_pr;
-        for (std::size_t jc = static_cast<std::size_t>(ncol0);
-             jc < me.my_cols.size(); ++jc) {
-          const int c2 = me.my_cols[jc];
-          if (me.rowmap.owner_of(c2) == pr) rows_pr.push_back(c2);
-        }
+        const std::vector<int>& rows_pr =
+            rows_by_pr[static_cast<std::size_t>(pr)];
         if (rows_pr.empty()) continue;
         const Tag tag = make_tag(25, ts, static_cast<std::uint32_t>(pr));
         if (numeric) {

@@ -86,7 +86,7 @@ void Network::enqueue(int dst, int src, Tag tag, Message msg) {
   bool wake = false;
   {
     const std::lock_guard<std::mutex> lock(ch.mutex);
-    ch.queues[{src, tag}].push_back(std::move(msg));
+    ch.queue.push_back({src, tag, std::move(msg)});
     if (vt_ != nullptr) {
       // Fiber wakeup shares the channel mutex with the park handshake, so
       // a deliver concurrent with a park either lands before the parking
@@ -289,31 +289,28 @@ Message Network::receive(int me, int src, Tag tag) {
                            .with_tag(tag)));
   if (vt_ != nullptr) return receive_vt(me, src, tag);
   Channel& ch = channel(me, src);
-  const auto key = std::make_pair(src, tag);
   // Wait-time attribution (ConfScope): stamped lazily, only after the
   // first probe misses — a receive whose message already arrived records a
   // zero-length wait without touching the clock at all, so the attached
   // fast path stays within a few percent of the disabled one.
   std::uint64_t wait_begin = 0;
 
-  // Pop the head of the matching queue if it exists *and is ripe*: a
+  // Take the first matching entry if it exists *and is ripe*: a
   // fault-injected link delay stamps a not-before instant, and FIFO order
-  // within the channel must hold, so an unripe head means "nothing yet"
-  // (ripe_at reports when to re-check).
+  // within (src, tag) must hold, so an unripe first match means "nothing
+  // yet" (ripe_at reports when to re-check).
   auto try_pop = [&](Message& out, std::uint64_t* ripe_at) {
-    const auto it = ch.queues.find(key);
-    if (it == ch.queues.end() || it->second.empty()) return false;
-    Message& front = it->second.front();
-    if (front.not_before_ns != 0) {
+    const auto it = ch.find(src, tag);
+    if (it == ch.queue.end()) return false;
+    if (it->msg.not_before_ns != 0) {
       const std::uint64_t now = telemetry::now_ns();
-      if (now < front.not_before_ns) {
-        if (ripe_at != nullptr) *ripe_at = front.not_before_ns;
+      if (now < it->msg.not_before_ns) {
+        if (ripe_at != nullptr) *ripe_at = it->msg.not_before_ns;
         return false;
       }
     }
-    out = std::move(front);
-    it->second.pop_front();
-    if (it->second.empty()) ch.queues.erase(it);
+    out = std::move(it->msg);
+    ch.queue.erase(it);
     inbound_[static_cast<std::size_t>(me)].depth.fetch_sub(
         1, std::memory_order_relaxed);
     return true;
@@ -416,17 +413,15 @@ Message Network::receive(int me, int src, Tag tag) {
 /// and the blocked interval is recorded in virtual time.
 Message Network::receive_vt(int me, int src, Tag tag) {
   Channel& ch = channel(me, src);
-  const auto key = std::make_pair(src, tag);
   Message msg;
   for (;;) {
     bool got = false;
     {
       const std::lock_guard<std::mutex> lock(ch.mutex);
-      const auto it = ch.queues.find(key);
-      if (it != ch.queues.end() && !it->second.empty()) {
-        msg = std::move(it->second.front());
-        it->second.pop_front();
-        if (it->second.empty()) ch.queues.erase(it);
+      const auto it = ch.find(src, tag);
+      if (it != ch.queue.end()) {
+        msg = std::move(it->msg);
+        ch.queue.erase(it);
         inbound_[static_cast<std::size_t>(me)].depth.fetch_sub(
             1, std::memory_order_relaxed);
         got = true;
@@ -572,7 +567,7 @@ void Network::run_team(const std::function<void(int)>& job) {
   if (aborted()) {
     for (auto& ch : channels_) {
       const std::lock_guard<std::mutex> lock(ch.mutex);
-      ch.queues.clear();
+      ch.queue.clear();
       ch.waiting = false;
     }
     for (Inbound& in : inbound_) in.depth.store(0, std::memory_order_relaxed);

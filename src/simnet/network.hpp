@@ -11,12 +11,12 @@
 ///     send/receive — the mode that runs P = 512–4096 on a laptop.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -180,17 +180,34 @@ class Network {
  private:
   friend class VtRuntime;  ///< parks/wakes under the channel mutexes
 
-  /// One (destination, source-slot) channel. Queues are keyed by
-  /// (source, tag) so slot sharing at very large rank counts stays correct.
+  /// One (destination, source-slot) channel: a single FIFO of every
+  /// message queued on the slot, each entry tagged with its (source, tag).
+  /// A receive takes the first entry matching its (source, tag), so FIFO
+  /// order per (source, tag) holds and slot sharing at very large rank
+  /// counts stays correct. One node allocation per message; an empty
+  /// channel owns no heap memory.
   struct Channel {
+    struct Entry {
+      int src;
+      Tag tag;
+      Message msg;
+    };
     std::mutex mutex;
     std::condition_variable cv;
-    std::map<std::pair<int, Tag>, std::deque<Message>> queues;
+    std::list<Entry> queue;  ///< guarded by `mutex`
     // What the destination thread is parked on, if anything. Guarded by
     // `mutex`; lets deliver skip the notify for non-matching traffic.
     int waiting_src = -1;
     Tag waiting_tag = 0;
     bool waiting = false;
+
+    /// First queued entry for (src, tag), or queue.end(). Caller holds
+    /// `mutex`.
+    [[nodiscard]] std::list<Entry>::iterator find(int src, Tag tag) {
+      return std::find_if(queue.begin(), queue.end(), [&](const Entry& e) {
+        return e.src == src && e.tag == tag;
+      });
+    }
   };
 
   /// Per-destination inbound queue-depth accounting for ConfScope. This

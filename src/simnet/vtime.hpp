@@ -1,15 +1,36 @@
 /// \file vtime.hpp
 /// The virtual-time execution mode of the simulated fabric: an event-driven
-/// scheduler that multiplexes thousands of cooperative rank contexts
-/// (ucontext fibers with small mmap'd stacks) onto the shared thread pool,
-/// and a LogGP-style latency/bandwidth clock that advances a per-rank
-/// virtual clock on every send, receive and (optionally) charged flop.
+/// scheduler that multiplexes thousands of cooperative rank fibers (small
+/// guarded mmap'd stacks) onto the shared thread pool, and a LogGP-style
+/// latency/bandwidth clock that advances a per-rank virtual clock on every
+/// send, receive and (optionally) charged flop.
 ///
 /// Why it exists: the persistent rank team runs one OS thread per simulated
 /// rank, which caps usable P at roughly the host's core count. The paper's
 /// headline figures run at P = 512–4096 on Piz Daint; with fibers, those
 /// scales run on a laptop, and the virtual clocks turn the run into a
 /// *predicted wall-clock* for the modeled machine.
+///
+/// Host cost per message is what bounds a paper-scale sweep, so the per-
+/// message path has three deliberately small mechanisms:
+///   - Switch: on x86-64 a fiber switch is a hand-written stack switch that
+///     saves the callee-saved registers, MXCSR/x87 control words and rsp and
+///     touches no signal mask (glibc's swapcontext makes two sigprocmask
+///     syscalls per switch). Other architectures keep makecontext/
+///     swapcontext behind the same two-function interface.
+///   - Scheduler: each worker owns a run queue. A wake pushes the woken
+///     fiber onto the waking worker's queue; an idle worker steals from the
+///     other queues and sleeps on a condition variable only when every
+///     queue is empty. One atomic count of ready + running fibers replaces
+///     a global queue: when it drops to zero with ranks unfinished, every
+///     live rank is parked and the run has deadlocked (the typed
+///     ReceiveTimeout diagnostic below).
+///   - Channels: each channel slot is one FIFO of (src, tag, message)
+///     entries (network.hpp); a receive takes the first matching entry.
+/// A fiber may resume on a different worker thread after every park, so
+/// fiber code must never cache a thread_local (or its address) across a
+/// park: the scheduler keeps the running worker in the rank's context, not
+/// in thread-local storage.
 ///
 /// Determinism: the simulation is a pure dataflow. Each blocking receive
 /// names its (src, tag) channel and FIFO order within a channel is
@@ -79,8 +100,10 @@ class VtRuntime {
   VtRuntime& operator=(const VtRuntime&) = delete;
 
   /// Run `job(rank)` once per rank on cooperative fibers, multiplexed over
-  /// `workers` host threads (clamped to the shared pool's size by the
-  /// caller). Rethrows the first rank exception after all fibers unwind.
+  /// `workers` host threads (0 = one per pool thread, at most one per rank;
+  /// CONFLUX_VT_WORKERS overrides). The count is clamped to the shared
+  /// pool's size. Rethrows the first rank exception after all fibers
+  /// unwind.
   void run(const std::function<void(int)>& job, int workers);
 
   // --- called from inside a rank's fiber -----------------------------------
@@ -114,7 +137,9 @@ class VtRuntime {
 
   /// Wake `dst` if it is parked on (src, tag). Must be called with the
   /// (dst, src) channel's mutex held (the same mutex the parking handshake
-  /// uses), which makes the park/deliver race benign.
+  /// uses), which makes the park/deliver race benign. Runs on the sending
+  /// rank's fiber: the woken fiber joins the run queue of the worker that
+  /// runs `src`.
   void wake_if_parked(int dst, int src, Tag tag);
 
   /// Wake every parked fiber (abort path); each resumes, observes the
@@ -138,17 +163,19 @@ class VtRuntime {
 
  private:
   struct RankCtx;
+  struct Worker;
   struct Impl;
   friend struct Impl;
 
-  /// makecontext entry point; the RankCtx pointer arrives split across the
-  /// two unsigned ints (makecontext passes only ints portably).
-  static void trampoline(unsigned int hi, unsigned int lo);
+  /// First function on a fresh fiber stack; `ctx` is the RankCtx.
+  static void trampoline(void* ctx);
 
-  void worker_loop();
+  void worker_loop(Worker& self);
+  int next_ready(Worker& self);
   void resume(RankCtx& c);
-  void finish_park(RankCtx& c);
-  void push_ready(int rank);
+  bool finish_park(RankCtx& c, Worker& self);
+  void push_ready(int rank, Worker& queue);
+  void all_idle();
   void fiber_main(RankCtx& c);
 
   Network* net_;

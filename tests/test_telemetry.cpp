@@ -40,6 +40,13 @@ void* operator new(std::size_t size) {
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
+// The nothrow form too (std::stable_sort's temporary buffer uses it and
+// frees through the sized delete below): left to the runtime's default,
+// an ASan build would see its allocation released with free().
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size ? size : 1);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 #pragma GCC diagnostic pop

@@ -3,11 +3,20 @@
 // determinism across repeated runs and worker counts, CommVolume parity
 // with the threaded rank team, the make_tag wide-layout regression, and
 // shared-channel-slot stress at P = 256, and a numeric factorization on
-// the fiber scheduler with more than one worker.
+// the fiber scheduler with more than one worker. Also the fiber switch
+// (register and stack state survive parks and worker migration), the
+// scheduler's deadlock count and the channel FIFO (per-tag order under
+// out-of-order receives, one allocation per queued message, nothing owned
+// once drained).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <new>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include "linalg/generate.hpp"
@@ -16,9 +25,46 @@
 #include "simnet/spmd.hpp"
 #include "simnet/vtime.hpp"
 #include "support/telemetry.hpp"
+#include "support/thread_pool.hpp"
+
+namespace {
+std::atomic<std::int64_t> g_news{0};
+std::atomic<std::int64_t> g_deletes{0};
+}  // namespace
+
+// Counting global allocator for the channel-memory tests: allocations and
+// frees are counted separately, so their difference is the number of live
+// heap blocks. new and delete are replaced as a matched malloc/free pair;
+// GCC's mismatch heuristic cannot see that both replacements are active at
+// once, hence the pragma.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t size) {
+  g_news.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_news.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size ? size : 1);
+}
+void operator delete(void* p) noexcept {
+  if (p != nullptr) g_deletes.fetch_add(1, std::memory_order_relaxed);
+  std::free(p);
+}
+void operator delete(void* p, std::size_t) noexcept {
+  if (p != nullptr) g_deletes.fetch_add(1, std::memory_order_relaxed);
+  std::free(p);
+}
+#pragma GCC diagnostic pop
 
 namespace conflux::simnet {
 namespace {
+
+std::int64_t live_heap_blocks() {
+  return g_news.load(std::memory_order_relaxed) -
+         g_deletes.load(std::memory_order_relaxed);
+}
 
 FabricSpec virtual_fabric(double alpha = 1e-6, double beta = 1e-10,
                           double gamma = 0.0) {
@@ -143,28 +189,71 @@ TEST(VirtualTime, ChargeFlopsAdvancesTheClock) {
 }
 
 TEST(VirtualTime, DeadlockIsDetectedAndReported) {
-  Network net(2, virtual_fabric());
-  // Typed diagnostic (ConfChaos): deadlock() marks it deterministic, and
-  // the parked snapshot names the stuck rank and its (src, tag).
-  try {
+  // One worker and several: the rerun after the abort must find every
+  // worker queue reset, whichever worker the abort ran on.
+  for (const char* w : {"1", "4"}) {
+    ScopedEnv workers("CONFLUX_VT_WORKERS", w);
+    Network net(2, virtual_fabric());
+    // Typed diagnostic (ConfChaos): deadlock() marks it deterministic, and
+    // the parked snapshot names the stuck rank and its (src, tag).
+    try {
+      run_spmd(net, [&](Comm& comm) {
+        if (comm.rank() == 0) (void)comm.recv(1, make_tag(2, 0, 0));
+      });
+      FAIL() << "deadlock not detected with " << w << " workers";
+    } catch (const ReceiveTimeout& e) {
+      EXPECT_TRUE(e.deadlock()) << w << " workers";
+      ASSERT_EQ(e.parked().size(), 1u) << w << " workers";
+      EXPECT_EQ(e.parked()[0].rank, 0);
+      EXPECT_EQ(e.parked()[0].src, 1);
+      EXPECT_EQ(e.parked()[0].tag, make_tag(2, 0, 0));
+    }
+    // The fabric recovers: a subsequent run over the same network works.
     run_spmd(net, [&](Comm& comm) {
-      if (comm.rank() == 0) (void)comm.recv(1, make_tag(2, 0, 0));
+      if (comm.rank() == 0)
+        comm.send(1, make_tag(3, 0, 0), std::vector<double>{1.0});
+      else
+        (void)comm.recv(0, make_tag(3, 0, 0));
     });
-    FAIL() << "deadlock not detected";
-  } catch (const ReceiveTimeout& e) {
-    EXPECT_TRUE(e.deadlock());
-    ASSERT_EQ(e.parked().size(), 1u);
-    EXPECT_EQ(e.parked()[0].rank, 0);
-    EXPECT_EQ(e.parked()[0].src, 1);
-    EXPECT_EQ(e.parked()[0].tag, make_tag(2, 0, 0));
   }
-  // The fabric recovers: a subsequent run over the same network works.
-  run_spmd(net, [&](Comm& comm) {
-    if (comm.rank() == 0)
-      comm.send(1, make_tag(3, 0, 0), std::vector<double>{1.0});
-    else
-      (void)comm.recv(0, make_tag(3, 0, 0));
-  });
+}
+
+TEST(VirtualTime, DeadlockIsDetectedAndReportedAtScale) {
+  // 64 ranks, 8 of them parked forever on a message nobody sends while the
+  // rest run a ring exchange and finish. The ready + running count must
+  // reach zero exactly once the ring drains, with one worker or several
+  // stealing from each other, and the snapshot must name all 8.
+  const int p = 64;
+  for (const char* w : {"1", "4"}) {
+    ScopedEnv workers("CONFLUX_VT_WORKERS", w);
+    Network net(p, virtual_fabric());
+    try {
+      run_spmd(net, [&](Comm& comm) {
+        const int r = comm.rank();
+        if (r % 8 == 5) {
+          (void)comm.recv((r + 1) % p, make_tag(9, 1, r));
+          return;
+        }
+        for (int i = 0; i < 50; ++i) {
+          int next = (r + 1) % p;
+          int prev = (r + p - 1) % p;
+          while (next % 8 == 5) next = (next + 1) % p;
+          while (prev % 8 == 5) prev = (prev + p - 1) % p;
+          comm.send_ghost(next, make_tag(9, 0, i), 8);
+          (void)comm.recv_ghost(prev, make_tag(9, 0, i));
+        }
+      });
+      FAIL() << "deadlock not detected with " << w << " workers";
+    } catch (const ReceiveTimeout& e) {
+      EXPECT_TRUE(e.deadlock()) << w << " workers";
+      ASSERT_EQ(e.parked().size(), 8u) << w << " workers";
+      for (const ParkedRank& pr : e.parked()) {
+        EXPECT_EQ(pr.rank % 8, 5) << w << " workers";
+        EXPECT_EQ(pr.src, (pr.rank + 1) % p);
+        EXPECT_EQ(pr.tag, make_tag(9, 1, static_cast<std::uint32_t>(pr.rank)));
+      }
+    }
+  }
 }
 
 TEST(VirtualTime, RankExceptionPropagatesAndAborts) {
@@ -317,12 +406,160 @@ TEST(VirtualTimeDeterminism, WorkerCountDoesNotChangeResults) {
     ScopedEnv workers("CONFLUX_VT_WORKERS", "1");
     base = traffic_mix_run(96);
   }
-  {
-    ScopedEnv workers("CONFLUX_VT_WORKERS", "4");
-    expect_bit_identical(base, traffic_mix_run(96), "4 workers");
+  // 2 and 3 workers split the initial ranks unevenly and steal unevenly.
+  for (const char* w : {"2", "3", "4"}) {
+    ScopedEnv workers("CONFLUX_VT_WORKERS", w);
+    expect_bit_identical(base, traffic_mix_run(96), w);
   }
   // Hardware default (no override).
   expect_bit_identical(base, traffic_mix_run(96), "default workers");
+}
+
+// --- the fiber switch -------------------------------------------------------
+
+/// The calling OS thread, read afresh on every call. pthread_self() is
+/// declared const, so a direct call in a fiber may be reused across a park
+/// — exactly the thread_local caching a migrating fiber must avoid.
+[[gnu::noinline]] std::thread::id current_thread() {
+  asm volatile("" ::: "memory");
+  return std::this_thread::get_id();
+}
+
+TEST(VirtualTimeSwitch, LiveValuesSurviveParksAndMigration) {
+  // Each fiber keeps six integers and four doubles live across 2000 parks
+  // while up to 4 workers steal fibers from each other. The integers are
+  // what the compiler keeps in callee-saved registers across the receive
+  // call; the doubles live on the fiber stack. A switch that dropped a
+  // register or misplaced the stack corrupts them. All arithmetic is exact
+  // (integers, wrapping; doubles with integral values), so a replay of the
+  // same recurrences without parks must match bit for bit.
+  ScopedEnv workers("CONFLUX_VT_WORKERS", "4");
+  const int p = 32;
+  const int kRounds = 2000;
+  struct Live {
+    std::uint64_t i[6];
+    double d[4];
+  };
+  const auto step = [](Live& v, int r, int k) {
+    v.i[0] = v.i[0] * 6364136223846793005ull + 1442695040888963407ull;
+    v.i[1] ^= v.i[0] >> 17;
+    v.i[2] += v.i[1] * 3 + static_cast<std::uint64_t>(k);
+    v.i[3] = (v.i[3] << 1) | (v.i[2] >> 63);
+    v.i[4] -= v.i[3] ^ static_cast<std::uint64_t>(r);
+    v.i[5] += v.i[4] >> 3;
+    v.d[0] += 1.0;
+    v.d[1] -= 0.5;
+    v.d[2] += v.d[0] * 2.0;
+    v.d[3] = v.d[3] * 0.5 + static_cast<double>(k % 7);
+  };
+  const auto init = [](int r) {
+    Live v{};
+    for (int j = 0; j < 6; ++j)
+      v.i[j] = 0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(r + j + 1);
+    for (int j = 0; j < 4; ++j) v.d[j] = r * 4.0 + j;
+    return v;
+  };
+  std::vector<Live> got(static_cast<std::size_t>(p));
+  std::vector<int> threads_seen(static_cast<std::size_t>(p), 0);
+  Network net(p, virtual_fabric());
+  run_spmd(net, [&](Comm& comm) {
+    const int r = comm.rank();
+    Live v = init(r);
+    std::uint64_t a = v.i[0], b = v.i[1], c = v.i[2], d = v.i[3],
+                  e = v.i[4], f = v.i[5];
+    double x = v.d[0], y = v.d[1], z = v.d[2], w = v.d[3];
+    std::set<std::thread::id> threads{current_thread()};
+    for (int k = 0; k < kRounds; ++k) {
+      comm.send_ghost((r + 1) % p, make_tag(10, k, 0), 8);
+      (void)comm.recv_ghost((r + p - 1) % p, make_tag(10, k, 0));
+      if (k % 64 == 0) threads.insert(current_thread());
+      Live t{{a, b, c, d, e, f}, {x, y, z, w}};
+      step(t, r, k);
+      a = t.i[0], b = t.i[1], c = t.i[2], d = t.i[3], e = t.i[4], f = t.i[5];
+      x = t.d[0], y = t.d[1], z = t.d[2], w = t.d[3];
+    }
+    got[static_cast<std::size_t>(r)] = Live{{a, b, c, d, e, f}, {x, y, z, w}};
+    threads_seen[static_cast<std::size_t>(r)] =
+        static_cast<int>(threads.size());
+  });
+  int migrated = 0;
+  for (int r = 0; r < p; ++r) {
+    Live want = init(r);
+    for (int k = 0; k < kRounds; ++k) step(want, r, k);
+    const Live& have = got[static_cast<std::size_t>(r)];
+    for (int j = 0; j < 6; ++j)
+      EXPECT_EQ(have.i[j], want.i[j]) << "rank " << r << " int " << j;
+    for (int j = 0; j < 4; ++j)
+      EXPECT_EQ(have.d[j], want.d[j]) << "rank " << r << " double " << j;
+    if (threads_seen[static_cast<std::size_t>(r)] > 1) ++migrated;
+  }
+  // The test is only meaningful if fibers actually changed threads.
+  if (support::global_pool().size() > 1) {
+    EXPECT_GT(migrated, 0);
+  }
+}
+
+// --- channel FIFO -----------------------------------------------------------
+
+/// Rank 0 interleaves tags A and B to rank 1; rank 1 drains every B before
+/// any A, so each B receive scans past queued A entries. Payloads number
+/// the messages per tag, so any reordering within a tag shows.
+void tag_b_before_a(Comm& comm) {
+  const Tag ta = make_tag(11, 0, 0);
+  const Tag tb = make_tag(11, 1, 0);
+  const int kEach = 64;
+  if (comm.rank() == 0) {
+    for (int i = 0; i < kEach; ++i) {
+      comm.send(1, ta, std::vector<double>{static_cast<double>(i)});
+      comm.send(1, tb, std::vector<double>{1000.0 + i});
+    }
+  } else {
+    for (int i = 0; i < kEach; ++i)
+      EXPECT_EQ(comm.recv(0, tb).at(0), 1000.0 + i) << "tag B #" << i;
+    for (int i = 0; i < kEach; ++i)
+      EXPECT_EQ(comm.recv(0, ta).at(0), static_cast<double>(i))
+          << "tag A #" << i;
+  }
+}
+
+TEST(Channel, PerTagFifoHoldsWhenTagBIsTakenFirst) {
+  // One VT worker: a multi-worker run hands pool threads task closures
+  // they free only after the join returns, which would blur the count.
+  ScopedEnv workers("CONFLUX_VT_WORKERS", "1");
+  for (const ExecMode mode : {ExecMode::Threaded, ExecMode::VirtualTime}) {
+    FabricSpec spec = virtual_fabric();
+    spec.mode = mode;
+    Network net(2, spec);
+    run_spmd(net, tag_b_before_a);  // warm-up: rank team, lazy state
+    // Every queued entry was freed on its receive: a drained channel
+    // keeps no heap memory behind.
+    const std::int64_t before = live_heap_blocks();
+    run_spmd(net, tag_b_before_a);
+    EXPECT_EQ(live_heap_blocks(), before)
+        << (mode == ExecMode::Threaded ? "threaded" : "virtual time");
+  }
+}
+
+TEST(Channel, OneAllocationPerQueuedMessage) {
+  // Ghost messages carry no payload, so the only per-message heap block
+  // is the channel entry itself. One worker runs the sender to completion
+  // before the receiver drains, so every message is queued at once.
+  ScopedEnv workers("CONFLUX_VT_WORKERS", "1");
+  Network net(2, virtual_fabric());
+  const auto allocations = [&](int n) {
+    const std::int64_t before = g_news.load(std::memory_order_relaxed);
+    run_spmd(net, [n](Comm& comm) {
+      for (int i = 0; i < n; ++i) {
+        if (comm.rank() == 0)
+          comm.send_ghost(1, make_tag(12, 0, 0), 8);
+        else
+          (void)comm.recv_ghost(0, make_tag(12, 0, 0));
+      }
+    });
+    return g_news.load(std::memory_order_relaxed) - before;
+  };
+  (void)allocations(1);  // warm-up
+  EXPECT_EQ(allocations(2000) - allocations(1000), 1000);
 }
 
 // --- threaded-mode parity (acceptance criterion) ----------------------------
