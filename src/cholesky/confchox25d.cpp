@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <span>
 
 #include "factor/step_records.hpp"
 #include "grid/block_cyclic.hpp"
@@ -58,10 +59,24 @@ double* tile_at(const Plan& plan, RankState& st, int tile_row, int tile_col) {
              (static_cast<std::size_t>(plan.v) * plan.v);
 }
 
+/// Owned element (row, col) lives at row_base(row)[col_offset(col)]: the
+/// row's start in the rank's first tile column plus the column's offset,
+/// tile-column stride v^2 (the step-6 GEMM addresses C this way).
+double* row_base(const Plan& plan, RankState& st, int row) {
+  const int lr = (row / plan.v) / plan.g.px_extent();
+  return st.tiles.data() +
+         (static_cast<std::size_t>(lr) * st.ltc * plan.v + row % plan.v) *
+             plan.v;
+}
+
+std::ptrdiff_t col_offset(const Plan& plan, int col) {
+  const int lc = (col / plan.v) / plan.g.py_extent();
+  return static_cast<std::ptrdiff_t>(lc) * plan.v * plan.v + col % plan.v;
+}
+
 /// Element reference inside the owned tile covering (row, col).
 double& elem_at(const Plan& plan, RankState& st, int row, int col) {
-  double* t = tile_at(plan, st, row / plan.v, col / plan.v);
-  return t[static_cast<std::size_t>(row % plan.v) * plan.v + col % plan.v];
+  return row_base(plan, st, row)[col_offset(plan, col)];
 }
 
 /// Tiles It in [first, n/v) owned along one grid dimension (extent, pos),
@@ -373,8 +388,17 @@ void schur_update_local(const Plan& plan, RankState& st, const RowSlice& rows,
   // One GEMM per column tile, restricted to the row tiles at or below it
   // (both tile lists are ascending), so the strict-upper half of the
   // symmetric update is never computed — the same block-column trick as
-  // potrf_blocked.
+  // potrf_blocked. Each GEMM accumulates straight into the tiles.
   const int slice = rows.slice.size();
+  std::vector<double*> row_ptrs(static_cast<std::size_t>(rows.values.rows()));
+  for (std::size_t i = 0; i < row_ptrs.size(); ++i)
+    row_ptrs[i] = row_base(plan, st, rows.tiles[i / v] * v +
+                                         static_cast<int>(i % v));
+  std::vector<std::ptrdiff_t> col_offs(static_cast<std::size_t>(
+      cols.values.cols()));
+  for (std::size_t j = 0; j < col_offs.size(); ++j)
+    col_offs[j] = col_offset(plan, cols.tiles[j / v] * v +
+                                       static_cast<int>(j % v));
   for (std::size_t tj = 0; tj < cols.tiles.size(); ++tj) {
     std::size_t ti0 = 0;
     while (ti0 < rows.tiles.size() && rows.tiles[ti0] < cols.tiles[tj])
@@ -382,18 +406,14 @@ void schur_update_local(const Plan& plan, RankState& st, const RowSlice& rows,
     if (ti0 == rows.tiles.size()) continue;
     const int row0 = static_cast<int>(ti0) * v;
     const int nrows = rows.values.rows() - row0;
-    Matrix prod(nrows, v);
-    linalg::gemm(1.0, rows.values.view().block(row0, 0, nrows, slice),
-                 cols.values.view().block(0, static_cast<int>(tj) * v, slice,
-                                          v),
-                 0.0, prod.view());
-    for (int i = 0; i < nrows; ++i) {
-      const int gi = row0 + i;
-      const int r = rows.tiles[static_cast<std::size_t>(gi) / v] * v + gi % v;
-      auto pr = prod.row(i);
-      double* dst = &elem_at(plan, st, r, cols.tiles[tj] * v);
-      for (int k = 0; k < v; ++k) dst[k] -= pr[k];
-    }
+    const int col0 = static_cast<int>(tj) * v;
+    linalg::gemm(-1.0, rows.values.view().block(row0, 0, nrows, slice),
+                 cols.values.view().block(0, col0, slice, v),
+                 linalg::ScatteredView(
+                     std::span(row_ptrs).subspan(
+                         static_cast<std::size_t>(row0)),
+                     std::span<const std::ptrdiff_t>(col_offs).subspan(
+                         static_cast<std::size_t>(col0), v)));
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -46,38 +47,67 @@ void set_blas_impl(BlasImpl impl) {
 namespace {
 /// Cache-blocking factor for the k dimension of the reference GEMM.
 constexpr int kRefBlock = 64;
-}  // namespace
 
-void gemm_reference(double alpha, ConstMatrixView a, ConstMatrixView b,
-                    double beta, MatrixView c) {
-  const int m = c.rows(), n = c.cols(), k = a.cols();
-  CONFLUX_EXPECTS(a.rows() == m && b.rows() == k && b.cols() == n);
+/// How a GEMM core addresses C: entry (i, j) is row_base(i)[col_offset(j)].
+/// The dense MatrixView is the plain-strided case; ScatteredView is the
+/// other one. The cores only ever accumulate into C (beta = 1).
+struct StridedC {
+  double* data;
+  std::ptrdiff_t ld;
+  [[nodiscard]] double* row_base(int i) const { return data + i * ld; }
+  [[nodiscard]] static std::ptrdiff_t col_offset(int j) { return j; }
+};
 
-  if (beta != 1.0) {
-    for (int i = 0; i < m; ++i) {
-      auto ci = c.row(i);
-      if (beta == 0.0)
-        std::fill(ci.begin(), ci.end(), 0.0);
-      else
-        for (double& x : ci) x *= beta;
-    }
+StridedC strided(MatrixView c) { return {c.data(), c.ld()}; }
+
+/// C := beta * C (beta = 0 overwrites, so C may hold garbage).
+void scale_rows(double beta, MatrixView c) {
+  if (beta == 1.0) return;
+  for (int i = 0; i < c.rows(); ++i) {
+    auto ci = c.row(i);
+    if (beta == 0.0)
+      std::fill(ci.begin(), ci.end(), 0.0);
+    else
+      for (double& x : ci) x *= beta;
   }
-  if (alpha == 0.0 || k == 0) return;
+}
 
-  // i-k-j loop with k blocking: B rows are walked contiguously and the inner
-  // j loop vectorizes.
+/// C += alpha * A * B. i-k-j loop with k blocking: B rows are walked
+/// contiguously and, for strided C, the inner j loop vectorizes.
+template <class CAddr>
+void reference_core(double alpha, ConstMatrixView a, ConstMatrixView b,
+                    CAddr c) {
+  const int m = a.rows(), n = b.cols(), k = a.cols();
+  if (alpha == 0.0 || k == 0) return;
   for (int kk = 0; kk < k; kk += kRefBlock) {
     const int kend = std::min(k, kk + kRefBlock);
     for (int i = 0; i < m; ++i) {
-      auto ci = c.row(i);
+      double* ci = c.row_base(i);
       for (int p = kk; p < kend; ++p) {
         const double aip = alpha * a(i, p);
         if (aip == 0.0) continue;
         auto bp = b.row(p);
-        for (int j = 0; j < n; ++j) ci[j] += aip * bp[j];
+        for (int j = 0; j < n; ++j) ci[c.col_offset(j)] += aip * bp[j];
       }
     }
   }
+}
+
+}  // namespace
+
+void gemm_reference(double alpha, ConstMatrixView a, ConstMatrixView b,
+                    double beta, MatrixView c) {
+  CONFLUX_EXPECTS(a.rows() == c.rows() && b.rows() == a.cols() &&
+                  b.cols() == c.cols());
+  scale_rows(beta, c);
+  reference_core(alpha, a, b, strided(c));
+}
+
+void gemm_reference(double alpha, ConstMatrixView a, ConstMatrixView b,
+                    ScatteredView c) {
+  CONFLUX_EXPECTS(a.rows() == c.rows() && b.rows() == a.cols() &&
+                  b.cols() == c.cols());
+  reference_core(alpha, a, b, c);
 }
 
 void trsm_left_reference(Triangle tri, Diag diag, ConstMatrixView a,
@@ -161,8 +191,8 @@ constexpr int kNR = 8;     ///< microkernel cols (one 512-bit vector)
 constexpr int kMC = 128;   ///< rows of A packed per thread block
 constexpr int kKC = 1024;  ///< k-panel depth
 
-/// Problems below this flop count skip packing entirely; the reference loop
-/// is faster once the whole working set fits in L1/L2.
+/// Problems at or below this flop count skip packing entirely; the
+/// reference loop is faster once the whole working set fits in L1/L2.
 constexpr long long kSmallGemmFlops = 2LL * 48 * 48 * 48;
 
 /// Pack a mc x kc block of A (row-major view) into MR-tall micro-panels:
@@ -204,28 +234,12 @@ void micro_kernel(int kc, const double* pa, const double* pb,
   }
 }
 
-}  // namespace
-
-void gemm_optimized(double alpha, ConstMatrixView a, ConstMatrixView b,
-                    double beta, MatrixView c) {
-  const int m = c.rows(), n = c.cols(), k = a.cols();
-  CONFLUX_EXPECTS(a.rows() == m && b.rows() == k && b.cols() == n);
-
-  const long long flops = 2LL * m * n * k;
-  if (flops <= kSmallGemmFlops) {
-    gemm_reference(alpha, a, b, beta, c);
-    return;
-  }
-
-  if (beta != 1.0) {
-    support::parallel_for(0, m, [&](int i) {
-      auto ci = c.row(i);
-      if (beta == 0.0)
-        std::fill(ci.begin(), ci.end(), 0.0);
-      else
-        for (double& x : ci) x *= beta;
-    });
-  }
+/// C += alpha * A * B through the packed, register-tiled loop nest. Each C
+/// entry is read and written once per k-panel, whatever its address.
+template <class CAddr>
+void optimized_core(double alpha, ConstMatrixView a, ConstMatrixView b,
+                    CAddr c) {
+  const int m = a.rows(), n = b.cols(), k = a.cols();
   if (alpha == 0.0 || k == 0) return;
 
   const int n_panels = (n + kNR - 1) / kNR;
@@ -257,13 +271,51 @@ void gemm_optimized(double alpha, ConstMatrixView a, ConstMatrixView b,
           double acc[kMR][kNR] = {};
           micro_kernel(kc, pa, pb, acc);
           for (int ir = 0; ir < mr; ++ir) {
-            double* ci = &c(i0 + ip + ir, jp);
-            for (int jr = 0; jr < nr; ++jr) ci[jr] += alpha * acc[ir][jr];
+            double* ci = c.row_base(i0 + ip + ir);
+            for (int jr = 0; jr < nr; ++jr)
+              ci[c.col_offset(jp + jr)] += alpha * acc[ir][jr];
           }
         }
       }
     });
   }
+}
+
+}  // namespace
+
+void gemm_optimized(double alpha, ConstMatrixView a, ConstMatrixView b,
+                    double beta, MatrixView c) {
+  const int m = c.rows(), n = c.cols(), k = a.cols();
+  CONFLUX_EXPECTS(a.rows() == m && b.rows() == k && b.cols() == n);
+
+  const long long flops = 2LL * m * n * k;
+  if (flops <= kSmallGemmFlops) {
+    gemm_reference(alpha, a, b, beta, c);
+    return;
+  }
+
+  if (beta != 1.0) {
+    support::parallel_for(0, m, [&](int i) {
+      auto ci = c.row(i);
+      if (beta == 0.0)
+        std::fill(ci.begin(), ci.end(), 0.0);
+      else
+        for (double& x : ci) x *= beta;
+    });
+  }
+  optimized_core(alpha, a, b, strided(c));
+}
+
+/// Scattered C always takes the packed path, whatever the size: the
+/// reference loop would read and write each scattered C entry once per
+/// product term, the packed one once per k-panel. Forming each panel's sum
+/// before it meets C also makes c += (-1) * acc round exactly like a GEMM
+/// into a zeroed temporary followed by c -= temporary.
+void gemm_optimized(double alpha, ConstMatrixView a, ConstMatrixView b,
+                    ScatteredView c) {
+  CONFLUX_EXPECTS(a.rows() == c.rows() && b.rows() == a.cols() &&
+                  b.cols() == c.cols());
+  optimized_core(alpha, a, b, c);
 }
 
 // ---------------------------------------------------------------------------
@@ -361,6 +413,14 @@ void gemm(double alpha, ConstMatrixView a, ConstMatrixView b, double beta,
     gemm_optimized(alpha, a, b, beta, c);
   else
     gemm_reference(alpha, a, b, beta, c);
+}
+
+void gemm(double alpha, ConstMatrixView a, ConstMatrixView b,
+          ScatteredView c) {
+  if (blas_impl() == BlasImpl::Optimized)
+    gemm_optimized(alpha, a, b, c);
+  else
+    gemm_reference(alpha, a, b, c);
 }
 
 void schur_update(MatrixView c, ConstMatrixView a, ConstMatrixView b) {

@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "linalg/blas.hpp"
+#include "linalg/residual.hpp"
 
 namespace conflux::linalg {
 
@@ -141,16 +142,15 @@ double lu_residual(const Matrix& original, ConstMatrixView factored,
   const int m = original.rows(), n = original.cols();
   CONFLUX_EXPECTS(factored.rows() == m && factored.cols() == n);
 
-  Matrix pa = original;
-  apply_pivots(pa.view(), ipiv);
-
+  const std::vector<int> perm = pivots_to_permutation(ipiv, m);
   const Matrix l = extract_lower_unit(factored);
   const Matrix u = extract_upper(factored);
-  Matrix prod(m, n);
-  gemm(1.0, l.view(), u.view(), 0.0, prod.view());
+  const double err = triangular_product_error(l.view(), u.view(),
+                                              original.view(), perm,
+                                              ProductEntries::All);
 
   const double scale = std::max(1.0, max_abs(original.view())) * std::max(1, n);
-  return max_abs_diff(pa.view(), prod.view()) / scale;
+  return err / scale;
 }
 
 double growth_factor(const Matrix& original, ConstMatrixView factored) {

@@ -67,10 +67,24 @@ double* tile_at(const Plan& plan, RankState& st, int tile_row, int tile_col) {
              (static_cast<std::size_t>(plan.v) * plan.v);
 }
 
+/// Owned element (row, col) lives at row_base(row)[col_offset(col)]: the
+/// row's start in the rank's first tile column plus the column's offset,
+/// tile-column stride v^2 (the step-11 GEMM addresses C this way).
+double* row_base(const Plan& plan, RankState& st, int row) {
+  const int lr = (row / plan.v) / plan.g.px_extent();
+  return st.tiles.data() +
+         (static_cast<std::size_t>(lr) * st.ltc * plan.v + row % plan.v) *
+             plan.v;
+}
+
+std::ptrdiff_t col_offset(const Plan& plan, int col) {
+  const int lc = (col / plan.v) / plan.g.py_extent();
+  return static_cast<std::ptrdiff_t>(lc) * plan.v * plan.v + col % plan.v;
+}
+
 /// Element reference inside the owned tile covering (row, col).
 double& elem_at(const Plan& plan, RankState& st, int row, int col) {
-  double* t = tile_at(plan, st, row / plan.v, col / plan.v);
-  return t[static_cast<std::size_t>(row % plan.v) * plan.v + col % plan.v];
+  return row_base(plan, st, row)[col_offset(plan, col)];
 }
 
 /// Everything the ranks derive per outer step from the shared pivot state.
@@ -721,14 +735,15 @@ void schur_update_local(const Plan& plan, RankState& st, const A10Slice& a10,
   CONFLUX_ASSERT(a10.slice.begin == a01.slice.begin &&
                  a10.slice.end == a01.slice.end);
 
-  Matrix prod(static_cast<int>(a10.rows.size()),
-              static_cast<int>(a01.cols.size()));
-  linalg::gemm(1.0, a10.values.view(), a01.values.view(), 0.0, prod.view());
-  for (std::size_t i = 0; i < a10.rows.size(); ++i) {
-    auto pr = prod.row(static_cast<int>(i));
-    for (std::size_t j = 0; j < a01.cols.size(); ++j)
-      elem_at(plan, st, a10.rows[i], a01.cols[j]) -= pr[j];
-  }
+  // A11 -= A10 * A01 lands in the tiles through the GEMM's write-back.
+  std::vector<double*> rows(a10.rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i)
+    rows[i] = row_base(plan, st, a10.rows[i]);
+  std::vector<std::ptrdiff_t> cols(a01.cols.size());
+  for (std::size_t j = 0; j < cols.size(); ++j)
+    cols[j] = col_offset(plan, a01.cols[j]);
+  linalg::gemm(-1.0, a10.values.view(), a01.values.view(),
+               linalg::ScatteredView(rows, cols));
 }
 
 }  // namespace

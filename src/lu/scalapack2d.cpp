@@ -246,16 +246,20 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
           simnet::bcast(comm, col_group, powner, seg, make_tag(22, ts, js));
 
           // Scale column j below the diagonal and rank-1 update the panel.
+          // [j, k0 + kb) lies in one owned block, so its local columns are
+          // contiguous from lcol(j).
           const double diag = seg[0];
           const double inv = diag != 0.0 ? 1.0 / diag : 0.0;
+          const int jl2 = me.lcol(j);
+          const int width = k0 + kb - j;
+          CONFLUX_ASSERT(me.lcol(k0 + kb - 1) == jl2 + width - 1);
           for (int il = me.lrow_lower_bound(j + 1);
                il < static_cast<int>(me.my_rows.size()); ++il) {
-            const int jl2 = me.lcol(j);
-            me.loc(il, jl2) *= inv;
-            const double lij = me.loc(il, jl2);
-            for (int col = j + 1; col < k0 + kb; ++col)
-              me.loc(il, me.lcol(col)) -=
-                  lij * seg[static_cast<std::size_t>(col - j)];
+            double* row = &me.loc(il, jl2);
+            row[0] *= inv;
+            const double lij = row[0];
+            for (int q = 1; q < width; ++q)
+              row[q] -= lij * seg[static_cast<std::size_t>(q)];
           }
         }
       }

@@ -5,9 +5,12 @@
 // same SPD matrix reconstruct it to the same tolerance).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <tuple>
 
 #include "cholesky/cholesky_common.hpp"
+#include "linalg/blas.hpp"
 #include "linalg/generate.hpp"
 #include "lu/lu_common.hpp"
 
@@ -150,6 +153,82 @@ TEST(Consistency, BothBaselinesAgreeToo) {
   EXPECT_LT(chol.residual, kTol);
   EXPECT_LT(lu.residual, kTol);
 }
+
+// ---- Factor bit-identity pins ---------------------------------------------
+// FNV-1a over the kept L factor's bits, recorded from the engines before
+// COnfCHOX's Schur update moved into the GEMM write-back. The optimized
+// BLAS is pinned; the reference path sums in a different order.
+//
+// The bits are those of the recording build: GCC 12, Release, -march=native
+// on an AVX-512 host, no sanitizer. Other compilers, ISAs and instrumented
+// builds round differently (potrf_unblocked alone changes its bits under
+// -march=x86-64-v3, at -O2 and under ASan), so there only the grid and the
+// residual are checked; test_linalg_blas checks the write-back's rounding
+// argument at kernel level in every build.
+#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ == 12 && \
+    defined(__AVX512F__) && defined(NDEBUG) &&                      \
+    !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+constexpr bool kPinnedBuild = true;
+#else
+constexpr bool kPinnedBuild = false;
+#endif
+
+std::uint64_t factor_hash(const Matrix& f) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::size_t i = 0; i < f.size(); ++i) {
+    const auto word = std::bit_cast<std::uint64_t>(f.data()[i]);
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (word >> (8 * byte)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+struct FactorPin {
+  const char* algo;
+  int n, p;
+  const char* grid;
+  std::uint64_t hash;
+};
+
+class FactorBitPin : public ::testing::TestWithParam<FactorPin> {};
+
+TEST_P(FactorBitPin, KeptFactorIsBitIdentical) {
+  const FactorPin& pin = GetParam();
+  const linalg::BlasImpl saved = linalg::blas_impl();
+  linalg::set_blas_impl(linalg::BlasImpl::Optimized);
+  const Matrix a = generate(pin.n, MatrixKind::Spd, 91);
+  CholConfig cfg;
+  cfg.n = pin.n;
+  cfg.p = pin.p;
+  cfg.keep_factors = true;
+  const CholResult res = make_cholesky_algorithm(pin.algo)->run(&a, cfg);
+  linalg::set_blas_impl(saved);
+  ASSERT_NE(res.factors, nullptr);
+  EXPECT_EQ(res.grid, pin.grid);
+  EXPECT_LT(res.residual, kTol);
+  if (!kPinnedBuild)
+    GTEST_SKIP() << "factor bits are pinned for the recording build only";
+  EXPECT_EQ(factor_hash(*res.factors), pin.hash)
+      << std::hex << "0x" << factor_hash(*res.factors);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothEngines, FactorBitPin,
+    ::testing::Values(FactorPin{"COnfCHOX", 192, 4, "[2 x 2 x 1]",
+                                0xbefe30ce70ec5a46ULL},
+                      FactorPin{"COnfCHOX", 256, 8, "[2 x 2 x 2]",
+                                0xba53f3308c10ce30ULL},
+                      FactorPin{"ScaLAPACK", 192, 4, "[2 x 2]",
+                                0x2df2e22beb4c4968ULL},
+                      FactorPin{"ScaLAPACK", 256, 8, "[2 x 4]",
+                                0x16ec8471499eab45ULL}),
+    [](const ::testing::TestParamInfo<FactorPin>& info) {
+      return std::string(info.param.algo) + "_N" +
+             std::to_string(info.param.n) + "_P" +
+             std::to_string(info.param.p);
+    });
 
 // ---- Interface ------------------------------------------------------------
 

@@ -3,9 +3,12 @@
 // block sizes — including true 2.5D grids with replication.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <set>
 #include <tuple>
 
+#include "linalg/blas.hpp"
 #include "linalg/generate.hpp"
 #include "lu/lu_common.hpp"
 
@@ -157,6 +160,91 @@ TEST(Candmc, ReplicatedLayersStayCoherent) {
   EXPECT_LT(res.residual, kTol) << res.grid;
   EXPECT_EQ(res.ranks_used, 18);
 }
+
+// ---- Factor bit-identity pins ---------------------------------------------
+// FNV-1a over the kept factor bits and the row permutation, recorded from
+// the engines before their Schur updates moved into the GEMM write-back
+// (which keeps every rounding step: c + (-1)*acc == c - (0 + acc)). The
+// optimized BLAS is pinned; the reference path sums in a different order.
+//
+// The bits are those of the recording build: GCC 12, Release, -march=native
+// on an AVX-512 host, no sanitizer. Other compilers, ISAs and instrumented
+// builds contract and order floating-point operations differently (the
+// unchanged ScaLAPACK-Cholesky factors already differ under
+// -march=x86-64-v3, at -O2 and under ASan), so there only the grid and the
+// residual are checked. The same rounding argument is checked in every
+// build at kernel level by test_linalg_blas's
+// ScatteredGemm.OptimizedMinusOneMatchesSubtractingAZeroedProduct.
+#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ == 12 && \
+    defined(__AVX512F__) && defined(NDEBUG) &&                      \
+    !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+constexpr bool kPinnedBuild = true;
+#else
+constexpr bool kPinnedBuild = false;
+#endif
+
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t word) {
+  for (int byte = 0; byte < 8; ++byte) {
+    h ^= (word >> (8 * byte)) & 0xffU;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::uint64_t factor_hash(const LuResult& res) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const Matrix& f = *res.factors;
+  for (std::size_t i = 0; i < f.size(); ++i)
+    h = fnv1a(h, std::bit_cast<std::uint64_t>(f.data()[i]));
+  for (int r : res.permutation)
+    h = fnv1a(h, static_cast<std::uint64_t>(r));
+  return h;
+}
+
+struct FactorPin {
+  const char* algo;
+  int n, p;
+  const char* grid;
+  std::uint64_t hash;
+};
+
+class FactorBitPin : public ::testing::TestWithParam<FactorPin> {};
+
+TEST_P(FactorBitPin, KeptFactorsAndPermutationAreBitIdentical) {
+  const FactorPin& pin = GetParam();
+  const linalg::BlasImpl saved = linalg::blas_impl();
+  linalg::set_blas_impl(linalg::BlasImpl::Optimized);
+  const Matrix a = generate(pin.n, MatrixKind::Uniform, 63);
+  LuConfig cfg;
+  cfg.n = pin.n;
+  cfg.p = pin.p;
+  cfg.keep_factors = true;
+  const LuResult res = make_algorithm(pin.algo)->run(&a, cfg);
+  linalg::set_blas_impl(saved);
+  ASSERT_NE(res.factors, nullptr);
+  EXPECT_EQ(res.grid, pin.grid);
+  EXPECT_LT(res.residual, kTol);
+  if (!kPinnedBuild)
+    GTEST_SKIP() << "factor bits are pinned for the recording build only";
+  EXPECT_EQ(factor_hash(res), pin.hash)
+      << std::hex << "0x" << factor_hash(res);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BlockEngine, FactorBitPin,
+    ::testing::Values(FactorPin{"COnfLUX", 192, 4, "[2 x 2 x 1]",
+                                0xdd8c7baba0fa0b9eULL},
+                      FactorPin{"COnfLUX", 256, 8, "[2 x 2 x 2]",
+                                0x26bc464ce9f65a52ULL},
+                      FactorPin{"CALU", 192, 4, "[2 x 2 x 1]",
+                                0xdd8c7baba0fa0b9eULL},
+                      FactorPin{"CALU", 256, 8, "[2 x 2 x 2]",
+                                0x26bc464ce9f65a52ULL}),
+    [](const ::testing::TestParamInfo<FactorPin>& info) {
+      return std::string(info.param.algo) + "_N" +
+             std::to_string(info.param.n) + "_P" +
+             std::to_string(info.param.p);
+    });
 
 TEST(Interface, UnknownAlgorithmThrows) {
   EXPECT_THROW(make_algorithm("HPL"), ContractViolation);
