@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Documentation lint, run by the CI "docs" job (and locally via
-# `scripts/check_docs.sh`). Four invariants:
+# `scripts/check_docs.sh`). Six invariants:
 #
 #  1. Every header under src/ opens with a `/// \file` doc comment (the
 #     house style of conflux25d.hpp/spmd.hpp).
@@ -17,6 +17,10 @@
 #  5. No stale CTest labels: every `ctest ... -L <label>` (or -LE) a
 #     Markdown file mentions must be a label CMakeLists.txt actually
 #     assigns, so docs cannot advertise a renamed or removed test wall.
+#  6. No stale repo paths: every backticked `src/...`, `tools/...`,
+#     `tests/...` or `scripts/...` path in README.md and
+#     docs/ARCHITECTURE.md names an existing file or directory, or the stem
+#     of a file, so docs cannot outlive a deleted source file.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 fail=0
@@ -106,7 +110,24 @@ while IFS= read -r md; do
            grep -oE '\-LE? [a-z]+$' | awk '{print $2}' | sort -u)
 done < <(find . -name build -prune -o -name '*.md' -print | sort)
 
+# --- 6: stale repo paths ------------------------------------------------------
+# A stem names its source files (`tools/confscope` -> tools/confscope.cpp),
+# and a brace list (`src/linalg/panel.{hpp,cpp}`) is checked by its stem.
+# ROADMAP.md and CHANGES.md are exempt: they name planned and deleted files.
+for md in README.md docs/ARCHITECTURE.md; do
+  while IFS= read -r path; do
+    path="${path%%\{*}"
+    path="${path%.}"
+    [ -e "$path" ] && continue
+    compgen -G "$path.*" >/dev/null && continue
+    echo "error: $md names missing path '$path'" >&2
+    fail=1
+  done < <(grep -oE '`[^`]+`' "$md" |
+           grep -oE '(^|[^A-Za-z0-9_./-])(src|tools|tests|scripts)/[A-Za-z0-9_./{-]*' |
+           sed -E 's/^[^a-z]//' | sort -u)
+done
+
 if [ "$fail" -eq 0 ]; then
-  echo "docs lint OK: src headers carry \\file comments, intra-repo links resolve, documented CLI flags exist, no malformed '/<' Doxygen markers, documented ctest labels exist"
+  echo "docs lint OK: src headers carry \\file comments, intra-repo links resolve, documented CLI flags exist, no malformed '/<' Doxygen markers, documented ctest labels exist, documented repo paths exist"
 fi
 exit "$fail"

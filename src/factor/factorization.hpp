@@ -27,7 +27,6 @@
 
 namespace conflux::simnet {
 class Network;
-class TraceRecorder;
 }  // namespace conflux::simnet
 
 namespace conflux::telemetry {
@@ -65,13 +64,6 @@ struct FactorConfig {
   bool keep_factors = false;      ///< Numeric: retain the factors in the
                                   ///< result (lu/solve.hpp consumes them)
 
-  /// Optional schedule export: when set, the run's Network attaches this
-  /// recorder, so every send/multicast/receive lands in a per-rank event
-  /// log (simnet/trace.hpp). This is how the static verifier
-  /// (src/verify, tools/commcheck) extracts the communication graph of a
-  /// dry run; numeric runs can attach it too to check the dry-run contract.
-  simnet::TraceRecorder* trace = nullptr;
-
   /// Execution mode of the run's fabric (simnet/vtime.hpp). Threaded (the
   /// default) runs one OS thread per rank; VirtualTime multiplexes
   /// cooperative fibers over the thread pool with a LogGP clock, which is
@@ -79,19 +71,22 @@ struct FactorConfig {
   /// report a *predicted* wall clock (FactorResult::predicted_seconds).
   simnet::FabricSpec fabric;
 
-  /// Optional ConfScope telemetry (support/telemetry.hpp), mirroring the
-  /// `trace` hook: when set, the run's Network attaches this board, the
-  /// backend opens a span per step-record phase (panel tournament, pivot
-  /// apply, TRSM, Schur update, layer reduction), and the fabric attributes
-  /// sent bytes to the sender's open span and blocked-in-recv time to
-  /// (src, tag) wait samples. Null (the default) costs nothing on the hot
-  /// path.
+  /// Optional per-rank event log (support/telemetry.hpp), the one recording
+  /// hook: when set, the run's Network attaches this board, the backend
+  /// opens a span per step-record phase (panel tournament, pivot apply,
+  /// TRSM, Schur update, layer reduction), and the fabric logs every send
+  /// and receive in each rank's program order — bytes attributed to the
+  /// sender's open span, blocked-in-recv time to the receive. ConfScope
+  /// profiles from it, and the static verifier (src/verify,
+  /// tools/commcheck) rebuilds the run's communication graph from it;
+  /// numeric runs can attach it too to check the dry-run contract. Null
+  /// (the default) costs nothing on the hot path.
   telemetry::TelemetryBoard* telemetry = nullptr;
 
-  /// Optional ConfChaos fault plan (simnet/faults.hpp), mirroring the
-  /// `trace`/`telemetry` hooks: when set, the run's Network attaches this
-  /// plan and every remote message consults it for seeded link delays,
-  /// rank stalls and payload bit-flips. Null (the default) costs nothing.
+  /// Optional ConfChaos fault plan (simnet/faults.hpp): when set, the run's
+  /// Network attaches this plan and every remote message consults it for
+  /// seeded link delays, rank stalls and payload bit-flips. Null (the
+  /// default) costs nothing.
   simnet::FaultPlan* faults = nullptr;
 
   /// End-to-end payload integrity: stamp every payload with its FNV-1a
@@ -111,6 +106,7 @@ struct FactorConfig {
 /// reporting consume is here.
 struct FactorResult {
   simnet::CommVolume total;          ///< summed over ranks (Score-P metric)
+  std::vector<simnet::CommVolume> rank_volume;  ///< per rank of the fabric
   std::uint64_t max_rank_bytes = 0;  ///< busiest rank, sent+received (Fig. 6)
   int ranks_used = 0;                ///< active ranks (grid may idle some)
   int ranks_available = 0;           ///< the P the caller asked for
@@ -162,16 +158,16 @@ class Factorization {
 };
 
 /// Populate the common CommVolume fields of `result` from a finished SPMD
-/// run: summed volume, busiest-rank bytes, and the rank accounting. Every
-/// algorithm in both families funnels its result through this helper so the
-/// reported metrics stay directly comparable.
+/// run: summed and per-rank volume, busiest-rank bytes, and the rank
+/// accounting. Every algorithm in both families funnels its result through
+/// this helper so the reported metrics stay directly comparable.
 void fill_comm_stats(FactorResult& result, const simnet::Network& net,
                      int ranks_used, int ranks_available);
 
-/// Attach every configured instrument to a run's fresh Network: trace,
-/// telemetry, fault plan, integrity mode and containment policy. Every
-/// backend calls this right after constructing its Network, so a new hook
-/// added here reaches all seven algorithms at once.
+/// Attach every configured instrument to a run's fresh Network: event log,
+/// fault plan, integrity mode and containment policy. Every backend calls
+/// this right after constructing its Network, so a new hook added here
+/// reaches all seven algorithms at once.
 void attach_instruments(simnet::Network& net, const FactorConfig& cfg);
 
 }  // namespace conflux::factor

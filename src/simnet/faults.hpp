@@ -3,9 +3,9 @@
 /// simulated fabric.
 ///
 /// Injection — a seeded FaultPlan attached to a Network (via
-/// FactorConfig::faults, mirroring trace/telemetry) decides, per delivered
-/// message, whether to inject a link delay (plus jitter), a sender-side
-/// rank stall, or a payload bit-flip. Every decision is a pure function of
+/// FactorConfig::faults) decides, per delivered message, whether to inject
+/// a link delay (plus jitter), a sender-side rank stall, or a payload
+/// bit-flip. Every decision is a pure function of
 /// (seed, attempt, src, dst, tag, per-source sequence number): the sequence
 /// number advances in the sender's program order, which the dataflow fixes,
 /// so chaos runs are bit-for-bit reproducible across repeats, host pool
@@ -21,9 +21,9 @@
 /// ReceiveTimeout carrying the full CommContext, a parked-channel snapshot
 /// and queue-depth high-water marks — a located diagnostic instead of a CI
 /// hang. Payload integrity (FactorConfig::integrity) stamps every payload
-/// with the trace layer's FNV-1a fingerprint at deliver time and re-checks
-/// it when the receiver matches the message, raising PayloadCorrupted
-/// instead of silently misfactoring.
+/// with its FNV-1a fingerprint (simnet/message.hpp) at deliver time and
+/// re-checks it when the receiver matches the message, raising
+/// PayloadCorrupted instead of silently misfactoring.
 ///
 /// Recovery lives one layer up: factor::run_with_retry (factor/retry.hpp)
 /// classifies these exceptions as transient and re-runs with capped

@@ -6,11 +6,14 @@
 /// mailboxes at once (multicast, broadcast trees) the way real MPI
 /// broadcast trees and RDMA transports share registered buffers. Receivers
 /// get a non-owning BufferView over either flavour and copy out explicitly
-/// (`take()`) only where mutation is needed.
+/// (`take()`) only where mutation is needed. Misuse of either flavour
+/// (use-after-take, in-flight mutation) is reported through one process-wide
+/// handler that tests and the verifier can intercept.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -20,12 +23,6 @@
 #include "support/assert.hpp"
 
 namespace conflux::simnet {
-
-/// Report a buffer-ownership violation (use-after-take, mutation of an
-/// in-flight shared payload) through the process-wide debug hook installed
-/// via set_buffer_misuse_handler (trace.hpp). The default handler throws
-/// ContractViolation.
-void report_buffer_misuse(const std::string& what);
 
 /// Message tag. Collective operations derive internal round tags by shifting
 /// the user tag left by 8 bits, so user tags must fit in 56 bits. The
@@ -73,6 +70,29 @@ using SharedBuffer = std::shared_ptr<const std::vector<double>>;
     std::span<const double> data) {
   return std::make_shared<std::vector<double>>(data.begin(), data.end());
 }
+
+// --- buffer-ownership debug hooks -----------------------------------------
+
+/// Handler invoked on a buffer-ownership violation (use-after-take, mutation
+/// of an in-flight shared payload). The default handler throws
+/// ContractViolation; the verifier and tests install collectors.
+using BufferMisuseHandler = std::function<void(const std::string& what)>;
+
+/// Install `handler` process-wide; returns the previous handler. Passing a
+/// null handler restores the throwing default.
+BufferMisuseHandler set_buffer_misuse_handler(BufferMisuseHandler handler);
+
+/// Report a violation through the installed handler (used by BufferView and
+/// the Network's in-flight-mutation check).
+void report_buffer_misuse(const std::string& what);
+
+/// FNV-1a over a payload's bytes — the fingerprint the Network stamps on a
+/// shared buffer at deliver time and re-checks at receive time to catch
+/// in-flight mutation while an event log is attached. The span overload
+/// covers exclusive (moved-vector) payloads, which the end-to-end integrity
+/// mode (Network::set_integrity) also stamps and re-checks.
+[[nodiscard]] std::uint64_t payload_fingerprint(std::span<const double> data);
+[[nodiscard]] std::uint64_t payload_fingerprint(const SharedBuffer& buf);
 
 /// A receiver's non-owning handle to a delivered payload. The data may be
 /// aliased by other recipients of the same multicast; reading is always
@@ -152,8 +172,8 @@ struct Message {
   SharedBuffer shared;
   std::vector<double> exclusive;
   std::size_t logical_bytes = 0;
-  /// Content fingerprint of `shared` stamped at deliver time when a trace
-  /// is attached (0 = unstamped). Re-checked at receive time: a mismatch
+  /// Content fingerprint of `shared` stamped at deliver time when an event
+  /// log is attached (0 = unstamped). Re-checked at receive time: a mismatch
   /// means some rank mutated an immutable in-flight payload — the
   /// mutation-of-SharedBuffer lint of the verifier.
   std::uint64_t fingerprint = 0;

@@ -99,13 +99,6 @@ void Network::enqueue(int dst, int src, Tag tag, Message msg) {
   if (wake) ch.cv.notify_one();
 }
 
-void Network::set_trace(TraceRecorder* trace) {
-  trace_ = trace;
-  if (trace_ == nullptr) return;
-  trace_->reset(nranks_);
-  if (vt_ != nullptr) trace_->set_virtual_clock(vt_->clock_ns_array());
-}
-
 void Network::set_telemetry(telemetry::TelemetryBoard* board) {
   telemetry_ = board;
   if (telemetry_ == nullptr) return;
@@ -124,12 +117,12 @@ void Network::set_faults(FaultPlan* plan) {
 }
 
 /// Stamp the payload's FNV-1a fingerprint into the message. Shared payloads
-/// are stamped whenever a trace is attached (the in-flight-mutation lint)
-/// or integrity mode is on; exclusive payloads only under integrity mode,
-/// where the stamp becomes a first-class end-to-end checksum.
+/// are stamped whenever an event log is attached (the in-flight-mutation
+/// lint) or integrity mode is on; exclusive payloads only under integrity
+/// mode, where the stamp becomes a first-class end-to-end checksum.
 void Network::stamp_fingerprint(Message& msg) const {
   if (msg.shared) {
-    if (trace_ != nullptr || integrity_) {
+    if (telemetry_ != nullptr || integrity_) {
       msg.fingerprint = payload_fingerprint(msg.shared);
       if (msg.fingerprint == 0) msg.fingerprint = 1;  // 0 means unstamped
     }
@@ -152,8 +145,8 @@ void Network::apply_injection(int src, int dst, Tag tag, Message& msg) {
     inj = faults_->at_delivery(src, dst, tag, payload_doubles(msg));
   if (inj.corrupt) flip_payload_bit(msg, inj.corrupt_bit);
   if (vt_ != nullptr) {
-    // Charge the LogGP injection cost before the telemetry/trace records
-    // so their timestamps reflect the post-send clock. Self-sends are free
+    // Charge the LogGP injection cost before the event log records the
+    // Send so its timestamp reflects the post-send clock. Self-sends are free
     // (matching the StatsBoard accounting exemption).
     if (inj.stall_s > 0) vt_->charge_seconds(src, inj.stall_s);
     msg.vt_arrival = (src != dst)
@@ -175,9 +168,8 @@ void Network::deliver(int src, int dst, Tag tag, Message msg) {
   stats_.record_send(src, dst, msg.logical_bytes);
   stamp_fingerprint(msg);
   apply_injection(src, dst, tag, msg);
-  if (telemetry_ != nullptr && src != dst)
-    telemetry_->add_bytes(src, msg.logical_bytes);
-  if (trace_ != nullptr) trace_->record_send(src, dst, tag, msg.logical_bytes);
+  if (telemetry_ != nullptr)
+    telemetry_->record_send(src, dst, tag, msg.logical_bytes);
   enqueue(dst, src, tag, std::move(msg));
 }
 
@@ -186,7 +178,7 @@ void Network::multicast(int src, std::span<const int> dsts, Tag tag,
   CONFLUX_EXPECTS_CTX(src >= 0 && src < size(),
                       (CommContext{.src = src}.with_tag(tag)));
   std::uint64_t fingerprint = 0;
-  if ((trace_ != nullptr || integrity_) && payload) {
+  if ((telemetry_ != nullptr || integrity_) && payload) {
     fingerprint = payload_fingerprint(payload);
     if (fingerprint == 0) fingerprint = 1;
   }
@@ -199,10 +191,9 @@ void Network::multicast(int src, std::span<const int> dsts, Tag tag,
     // LogGP charge in virtual time): a P-way multicast is P sends, and a
     // corrupted copy reaches only its targeted recipient.
     apply_injection(src, dst, tag, msg);
-    if (telemetry_ != nullptr && src != dst)
-      telemetry_->add_bytes(src, logical_bytes);
-    if (trace_ != nullptr)
-      trace_->record_send(src, dst, tag, logical_bytes, /*multicast=*/true);
+    if (telemetry_ != nullptr)
+      telemetry_->record_send(src, dst, tag, logical_bytes,
+                              /*multicast=*/true);
     enqueue(dst, src, tag, std::move(msg));
   }
 }
@@ -225,7 +216,7 @@ void Network::check_fingerprint(int me, int src, Tag tag, const Message& m) {
 
 /// End-to-end integrity verification (Network::set_integrity): recompute
 /// the payload fingerprint on the receiver and compare against the stamp
-/// from deliver time. Runs before the trace's mutation lint, so injected
+/// from deliver time. Runs before the event log's mutation lint, so injected
 /// corruption surfaces as the typed PayloadCorrupted, never as a
 /// ContractViolation from the lint.
 void Network::check_integrity(int me, int src, Tag tag,
@@ -289,11 +280,11 @@ Message Network::receive(int me, int src, Tag tag) {
                            .with_tag(tag)));
   if (vt_ != nullptr) return receive_vt(me, src, tag);
   Channel& ch = channel(me, src);
-  // Wait-time attribution (ConfScope): stamped lazily, only after the
-  // first probe misses — a receive whose message already arrived records a
-  // zero-length wait without touching the clock at all, so the attached
-  // fast path stays within a few percent of the disabled one.
-  std::uint64_t wait_begin = 0;
+  // Blocked-interval start for the event log: stamped lazily, only after
+  // the first probe misses — a receive whose message already arrived
+  // records a zero-length wait, and with no log attached the receive never
+  // touches the clock at all.
+  std::uint64_t wait_begin = telemetry::kNoWait;
 
   // Take the first matching entry if it exists *and is ripe*: a
   // fault-injected link delay stamps a not-before instant, and FIFO order
@@ -317,20 +308,15 @@ Message Network::receive(int me, int src, Tag tag) {
   };
 
   // Runs on the receiver's thread once a message has been matched: counts
-  // the receive, attributes the time parked here to (src, tag), verifies
-  // end-to-end integrity, logs the Recv event in program order and
-  // re-checks the shared-payload fingerprint (in-flight mutation lint).
+  // the receive, logs the Recv event with the time parked here, verifies
+  // end-to-end integrity and re-checks the shared-payload fingerprint
+  // (in-flight mutation lint).
   auto finish = [&](Message&& m) -> Message {
     stats_.record_recv(me, src);
     if (telemetry_ != nullptr)
-      telemetry_->record_wait(
-          me, src, tag, wait_begin,
-          wait_begin != 0 ? telemetry::now_ns() : 0, m.logical_bytes);
+      telemetry_->record_recv(me, src, tag, m.logical_bytes, wait_begin);
     check_integrity(me, src, tag, m);
-    if (trace_ != nullptr) {
-      trace_->record_recv(me, src, tag, m.logical_bytes);
-      check_fingerprint(me, src, tag, m);
-    }
+    if (telemetry_ != nullptr) check_fingerprint(me, src, tag, m);
     return std::move(m);
   };
 
@@ -341,7 +327,7 @@ Message Network::receive(int me, int src, Tag tag) {
     if (lock.owns_lock() && try_pop(msg, nullptr))
       return finish(std::move(msg));
   }
-  if (telemetry_ != nullptr) wait_begin = telemetry::now_ns();
+  if (telemetry_ != nullptr) wait_begin = telemetry_->stamp_ns(me);
 
   // Short spin: cheap when a matching send is already in flight on another
   // core; skipped entirely (spin_iters_ == 0) when ranks outnumber cores.
@@ -446,17 +432,12 @@ Message Network::receive_vt(int me, int src, Tag tag) {
                          /*deadlock=*/false);
   }
   stats_.record_recv(me, src);
+  // After absorb_arrival, so the Recv event ends at the post-match clock.
   if (telemetry_ != nullptr)
-    telemetry_->record_wait(me, src, tag,
-                            static_cast<std::uint64_t>(begin_s * 1e9),
-                            static_cast<std::uint64_t>(end_s * 1e9),
-                            msg.logical_bytes);
+    telemetry_->record_recv(me, src, tag, msg.logical_bytes,
+                            static_cast<std::uint64_t>(begin_s * 1e9));
   check_integrity(me, src, tag, msg);
-  if (trace_ != nullptr) {
-    // After absorb_arrival, so the Recv event carries the post-match clock.
-    trace_->record_recv(me, src, tag, msg.logical_bytes);
-    check_fingerprint(me, src, tag, msg);
-  }
+  if (telemetry_ != nullptr) check_fingerprint(me, src, tag, msg);
   return msg;
 }
 

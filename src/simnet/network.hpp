@@ -27,7 +27,6 @@
 #include "simnet/faults.hpp"
 #include "simnet/message.hpp"
 #include "simnet/stats.hpp"
-#include "simnet/trace.hpp"
 #include "simnet/vtime.hpp"
 
 namespace conflux::telemetry {
@@ -123,20 +122,14 @@ class Network {
   [[nodiscard]] StatsBoard& stats() { return stats_; }
   [[nodiscard]] const StatsBoard& stats() const { return stats_; }
 
-  /// Attach a per-rank event recorder: every deliver/multicast/receive is
-  /// logged in program order (see trace.hpp), and shared payloads get the
-  /// paranoid in-flight-mutation fingerprint check. The recorder is reset
-  /// to this network's rank count. Pass nullptr to detach. Must not be
-  /// called while a job is running.
-  void set_trace(TraceRecorder* trace);
-  [[nodiscard]] TraceRecorder* trace() const { return trace_; }
-
-  /// Attach a ConfScope telemetry board (see support/telemetry.hpp): every
-  /// deliver attributes wire bytes to the sender's open span, every receive
-  /// records a (src, tag) wait sample, and per-rank channel queue-depth
-  /// high-water marks are flushed into the board after each run_team join.
-  /// The board is reset to this network's rank count. Pass nullptr to
-  /// detach. Must not be called while a job is running.
+  /// Attach a per-rank event log (see support/telemetry.hpp): every
+  /// deliver/multicast records a Send on the sender's stream (its bytes
+  /// attributed to the sender's open span), every receive records a Recv
+  /// with its blocked interval on the receiver's stream, shared payloads
+  /// get the in-flight-mutation fingerprint check, and per-rank channel
+  /// queue-depth high-water marks are flushed into the board after each
+  /// run_team join. The board is reset to this network's rank count. Pass
+  /// nullptr to detach. Must not be called while a job is running.
   void set_telemetry(telemetry::TelemetryBoard* board);
   [[nodiscard]] telemetry::TelemetryBoard* telemetry() const {
     return telemetry_;
@@ -248,7 +241,6 @@ class Network {
   std::vector<Channel> channels_;
   std::vector<Inbound> inbound_;
   StatsBoard stats_;
-  TraceRecorder* trace_ = nullptr;
   telemetry::TelemetryBoard* telemetry_ = nullptr;
   FaultPlan* faults_ = nullptr;
   bool integrity_ = false;

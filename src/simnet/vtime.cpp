@@ -297,7 +297,7 @@ struct alignas(64) VtRuntime::Worker {
 
 struct VtRuntime::Impl {
   std::vector<std::unique_ptr<RankCtx>> ranks;
-  std::vector<std::uint64_t> clock_ns;  ///< vclock mirror for telemetry/trace
+  std::vector<std::uint64_t> clock_ns;  ///< vclock mirror for the event log
 
   std::vector<std::unique_ptr<Worker>> workers;
   /// Ready + running fibers. A wake adds one before its push (while the

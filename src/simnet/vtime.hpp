@@ -152,8 +152,8 @@ class VtRuntime {
   [[nodiscard]] double makespan_seconds() const;
 
   /// Per-rank virtual clocks in nanoseconds, updated by each rank's own
-  /// fiber — the timestamp source TelemetryBoard/TraceRecorder use in
-  /// virtual-time mode.
+  /// fiber — the timestamp source the attached TelemetryBoard stamps spans
+  /// and events from in virtual-time mode.
   [[nodiscard]] const std::uint64_t* clock_ns_array() const;
 
   /// Every rank currently parked in a blocking receive and the (src, tag)

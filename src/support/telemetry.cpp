@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <ostream>
 
 #include "support/assert.hpp"
@@ -26,7 +25,7 @@ void TelemetryBoard::reset(int nranks) {
   // promises "cheap", disabled mode promises "free").
   for (Slot& s : slots_) {
     s.spans.reserve(256);
-    s.waits.reserve(256);
+    s.events.reserve(256);
     s.open.reserve(8);
   }
   epoch_ = now_ns();
@@ -68,46 +67,23 @@ void TelemetryBoard::close_span(int rank) {
   s.open.pop_back();
 }
 
-void TelemetryBoard::add_bytes(int rank, std::uint64_t bytes) {
+void TelemetryBoard::record_send(int rank, int dst, std::uint64_t tag,
+                                 std::uint64_t bytes, bool multicast) {
   Slot& s = slot(rank);
-  if (s.open.empty()) {
-    s.orphan_bytes += bytes;
-    return;
-  }
-  s.spans[static_cast<std::size_t>(s.open.back())].bytes += bytes;
+  const std::uint64_t now = stamp_ns(rank);
+  s.events.push_back({EventKind::Send, multicast, dst, tag, bytes, now, now});
+  if (dst != rank && !s.open.empty())
+    s.spans[static_cast<std::size_t>(s.open.back())].bytes += bytes;
 }
 
-void TelemetryBoard::record_wait(int rank, int src, std::uint64_t tag,
-                                 std::uint64_t begin_abs_ns,
-                                 std::uint64_t end_abs_ns,
-                                 std::uint64_t bytes) {
+void TelemetryBoard::record_recv(int rank, int src, std::uint64_t tag,
+                                 std::uint64_t bytes, std::uint64_t begin_ns) {
   Slot& s = slot(rank);
-  WaitSample w;
-  w.src = src;
-  w.tag = tag;
-  if (vclock_ != nullptr) {
-    // Virtual time: the fabric passes epoch-relative virtual ns directly.
-    w.begin_ns = begin_abs_ns;
-  } else {
-    w.begin_ns = begin_abs_ns >= epoch_ ? begin_abs_ns - epoch_ : 0;
-  }
-  w.ns = end_abs_ns >= begin_abs_ns ? end_abs_ns - begin_abs_ns : 0;
-  w.bytes = bytes;
-  s.waits.push_back(w);
+  const std::uint64_t end = stamp_ns(rank);
+  const std::uint64_t begin = std::min(begin_ns, end);
+  s.events.push_back({EventKind::Recv, false, src, tag, bytes, begin, end});
   if (!s.open.empty())
-    s.spans[static_cast<std::size_t>(s.open.back())].wait_ns += w.ns;
-}
-
-void TelemetryBoard::add_counter(int rank, const char* name,
-                                 std::uint64_t delta) {
-  Slot& s = slot(rank);
-  for (Counter& c : s.counters) {
-    if (c.name == name || std::strcmp(c.name, name) == 0) {
-      c.value += delta;
-      return;
-    }
-  }
-  s.counters.push_back({name, delta});
+    s.spans[static_cast<std::size_t>(s.open.back())].wait_ns += end - begin;
 }
 
 void TelemetryBoard::set_queue_hwm(int rank, int hwm) {
@@ -118,12 +94,8 @@ const std::vector<Span>& TelemetryBoard::rank_spans(int r) const {
   return slot(r).spans;
 }
 
-const std::vector<WaitSample>& TelemetryBoard::rank_waits(int r) const {
-  return slot(r).waits;
-}
-
-const std::vector<Counter>& TelemetryBoard::rank_counters(int r) const {
-  return slot(r).counters;
+const std::vector<Event>& TelemetryBoard::rank_events(int r) const {
+  return slot(r).events;
 }
 
 int TelemetryBoard::queue_hwm(int r) const { return slot(r).queue_hwm; }
@@ -142,8 +114,7 @@ double TelemetryBoard::wall_seconds() const {
   for (const Slot& s : slots_) {
     for (const Span& span : s.spans)
       last = std::max(last, std::max(span.begin_ns, span.end_ns));
-    for (const WaitSample& w : s.waits)
-      last = std::max(last, w.begin_ns + w.ns);
+    for (const Event& e : s.events) last = std::max(last, e.end_ns);
   }
   return static_cast<double>(last) / 1e9;
 }
@@ -163,7 +134,7 @@ double TelemetryBoard::busy_seconds(int r) const {
 double TelemetryBoard::blocked_seconds(int r) const {
   const Slot& s = slot(r);
   std::uint64_t waited = 0;
-  for (const WaitSample& w : s.waits) waited += w.ns;
+  for (const Event& e : s.events) waited += e.end_ns - e.begin_ns;
   return static_cast<double>(waited) / 1e9;
 }
 
@@ -267,23 +238,24 @@ void ChromeTraceWriter::add_process(int pid, const std::string& name,
       j.end_object();
       j.end_object();
     }
-    for (const WaitSample& w : board.rank_waits(r)) {
+    for (const Event& e : board.rank_events(r)) {
       // Sub-microsecond parks are noise at trace scale; skip them to keep
-      // the file proportionate (they remain in blocked_seconds()).
-      if (w.ns < 1000) continue;
+      // the file proportionate (they remain in blocked_seconds()). Sends
+      // have zero duration and are skipped with them.
+      if (e.end_ns - e.begin_ns < 1000) continue;
       j.begin_object();
       j.kv("name", "wait");
       j.kv("cat", "wait");
       j.kv("ph", "X");
-      j.kv("ts", us(w.begin_ns));
-      j.kv("dur", us(w.ns));
+      j.kv("ts", us(e.begin_ns));
+      j.kv("dur", us(e.end_ns - e.begin_ns));
       j.kv("pid", pid);
       j.kv("tid", r);
       j.key("args");
       j.begin_object();
-      j.kv("src", w.src);
-      j.kv("tag", w.tag);
-      j.kv("bytes", w.bytes);
+      j.kv("src", e.peer);
+      j.kv("tag", e.tag);
+      j.kv("bytes", e.bytes);
       j.end_object();
       j.end_object();
     }

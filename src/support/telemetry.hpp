@@ -1,28 +1,33 @@
 /// \file telemetry.hpp
-/// ConfScope's span recorder: lock-free per-rank timing telemetry for the
-/// simulated fabric and the factorization engines.
+/// The per-rank event log: lock-free recording of what each simulated rank
+/// did and when, for the fabric and the factorization engines.
 ///
-/// The design mirrors simnet's TraceRecorder — one cache-line-padded slot
-/// per rank, appended to only by that rank's own thread, read only after
-/// the SPMD join — but records *time* instead of message identity:
+/// One cache-line-padded slot per rank, appended to only by that rank's own
+/// thread (or fiber) and read only after the SPMD join, holds two streams:
 ///
 ///   - **Spans**: named, nestable phase intervals ("panel_tournament",
 ///     "schur_update", ...) opened/closed on the rank's hot path, each
 ///     carrying begin/end timestamps (steady-clock ns relative to the
-///     board's reset epoch), its nesting depth/parent, and the wire bytes
-///     the rank sent while the span was innermost.
-///   - **Wait samples**: one record per fabric receive while attached,
-///     attributing time parked in `recv`/`recv_view` to a (src, tag) pair.
-///     Wait time inside a span is also accumulated on that span so busy
-///     (compute) time can be separated from blocked time.
-///   - **Monotonic counters** and per-rank queue-depth high-water marks
-///     flushed by the Network after the join.
+///     board's reset epoch), its nesting depth/parent, the wire bytes the
+///     rank sent and the time it sat blocked in receives while the span was
+///     innermost.
+///   - **Events**: every fabric send and receive in the rank's program
+///     order. A Send records (dst, tag, bytes, multicast) at its
+///     post-injection instant; a Recv records (src, tag, bytes) with the
+///     interval the rank was blocked in it. Program order is exactly what
+///     the static verifier (src/verify) needs to rebuild the communication
+///     graph of a run, and the timestamps are what the critical-path
+///     analysis walks.
+///
+/// Per-rank inbound queue-depth high-water marks are flushed in by the
+/// Network after each join.
 ///
 /// Zero-overhead when disabled: everything is reached through a nullable
-/// board pointer (`FactorConfig::telemetry`, mirroring the `trace` hook),
-/// and the ScopedSpan guard does no clock read and no allocation when the
-/// pointer is null. support/ stays below simnet/ in the layering, so tags
-/// appear here as raw integers.
+/// board pointer (`FactorConfig::telemetry`, forwarded to
+/// `Network::set_telemetry`); with no board the fabric records nothing and
+/// reads no clock, and the ScopedSpan guard does no clock read and no
+/// allocation. support/ stays below simnet/ in the layering, so tags appear
+/// here as raw integers.
 #pragma once
 
 #include <cstdint>
@@ -58,20 +63,24 @@ struct Span {
   std::uint64_t wait_ns = 0;    ///< time blocked in recv while innermost
 };
 
-/// One fabric receive: how long the rank sat parked and on whom.
-struct WaitSample {
-  int src = -1;
+/// What one fabric event records.
+enum class EventKind : std::uint8_t { Send, Recv };
+
+/// One fabric send or receive on one rank's stream.
+struct Event {
+  EventKind kind = EventKind::Send;
+  bool multicast = false;      ///< Send only: part of a multicast fan-out
+  int peer = -1;               ///< destination (Send) or source (Recv)
   std::uint64_t tag = 0;
-  std::uint64_t begin_ns = 0;  ///< epoch-relative entry into the receive
-  std::uint64_t ns = 0;        ///< blocked duration
-  std::uint64_t bytes = 0;     ///< logical bytes of the message received
+  std::uint64_t bytes = 0;     ///< logical wire bytes of the message
+  std::uint64_t begin_ns = 0;  ///< Recv: entry into the blocked wait;
+                               ///< Send: equal to end_ns
+  std::uint64_t end_ns = 0;    ///< completion instant (epoch-relative)
 };
 
-/// A named monotonic counter (static-string keys, few per rank).
-struct Counter {
-  const char* name = "";
-  std::uint64_t value = 0;
-};
+/// record_recv's `begin_ns` for a receive whose message was already
+/// queued: the rank did not block.
+inline constexpr std::uint64_t kNoWait = ~std::uint64_t{0};
 
 /// Aggregated per-phase totals over all ranks (see phase_totals()).
 struct PhaseTotal {
@@ -81,9 +90,10 @@ struct PhaseTotal {
   std::uint64_t count = 0;  ///< number of span instances
 };
 
-/// The per-run telemetry store. Attach to a run via FactorConfig::telemetry
-/// (the backend forwards it to Network::set_telemetry, which resets the
-/// board to the run's rank count); read after the SPMD join.
+/// The per-run event log. Attach to a run via FactorConfig::telemetry (the
+/// backend forwards it to Network::set_telemetry, which resets the board to
+/// the run's rank count); read after the SPMD join. Tests may also fill a
+/// board by hand (record_send/record_recv) to seed defective schedules.
 class TelemetryBoard {
  public:
   TelemetryBoard() = default;
@@ -99,30 +109,33 @@ class TelemetryBoard {
 
   /// Switch the board to virtual time: `clock_ns` points at one uint64 per
   /// rank (owned by the caller, updated by each rank's own context), and
-  /// spans/waits are stamped from it instead of the steady clock — so a
-  /// virtual-time run's profile and Chrome trace show *simulated* seconds.
-  /// record_wait then interprets its begin/end arguments as virtual ns
-  /// (already epoch-relative). reset() clears the attachment; re-attach
-  /// after resetting. Pass nullptr to detach.
+  /// spans and events are stamped from it instead of the steady clock — so
+  /// a virtual-time run's profile, critical path and Chrome trace show
+  /// *simulated* seconds. reset() clears the attachment; re-attach after
+  /// resetting. Pass nullptr to detach.
   void set_virtual_clock(const std::uint64_t* clock_ns) { vclock_ = clock_ns; }
   [[nodiscard]] bool virtual_clock() const { return vclock_ != nullptr; }
+
+  /// Epoch-relative timestamp for `rank`: its virtual clock when attached,
+  /// the steady clock otherwise.
+  [[nodiscard]] std::uint64_t stamp_ns(int rank) const;
 
   // --- hot path (called only by rank `rank`'s own thread) -----------------
 
   void open_span(int rank, const char* name, int step = -1);
   void close_span(int rank);
 
-  /// Attribute `bytes` wire bytes to `rank`'s innermost open span (the
-  /// fabric calls this on the sender's thread at deliver time).
-  void add_bytes(int rank, std::uint64_t bytes);
+  /// Append a Send to `rank`'s stream, stamped now, and attribute its bytes
+  /// to the innermost open span unless it is a (free) self-send. The fabric
+  /// calls this on the sender's context after the send's LogGP charge.
+  void record_send(int rank, int dst, std::uint64_t tag, std::uint64_t bytes,
+                   bool multicast = false);
 
-  /// Record one fabric receive: blocked from `begin_abs_ns` to `end_abs_ns`
-  /// (absolute now_ns() values) waiting on (src, tag).
-  void record_wait(int rank, int src, std::uint64_t tag,
-                   std::uint64_t begin_abs_ns, std::uint64_t end_abs_ns,
-                   std::uint64_t bytes);
-
-  void add_counter(int rank, const char* name, std::uint64_t delta = 1);
+  /// Append a Recv to `rank`'s stream, completed now, after blocking since
+  /// `begin_ns` (epoch-relative; kNoWait when the message was already
+  /// there). The blocked time also accrues to the innermost open span.
+  void record_recv(int rank, int src, std::uint64_t tag, std::uint64_t bytes,
+                   std::uint64_t begin_ns = kNoWait);
 
   /// Highest simultaneous queue depth observed across `rank`'s inbound
   /// channels (flushed by Network::run_team after the join).
@@ -131,8 +144,8 @@ class TelemetryBoard {
   // --- post-join queries --------------------------------------------------
 
   [[nodiscard]] const std::vector<Span>& rank_spans(int r) const;
-  [[nodiscard]] const std::vector<WaitSample>& rank_waits(int r) const;
-  [[nodiscard]] const std::vector<Counter>& rank_counters(int r) const;
+  /// Rank `r`'s sends and receives in its program order.
+  [[nodiscard]] const std::vector<Event>& rank_events(int r) const;
   [[nodiscard]] int queue_hwm(int r) const;
 
   /// True when every opened span was closed on every rank.
@@ -145,7 +158,8 @@ class TelemetryBoard {
   /// Top-level span time minus blocked-in-recv time for rank `r`.
   [[nodiscard]] double busy_seconds(int r) const;
 
-  /// Total time rank `r` spent parked in fabric receives.
+  /// Total time rank `r` spent blocked in fabric receives (the summed
+  /// intervals of its Recv events).
   [[nodiscard]] double blocked_seconds(int r) const;
 
   /// Per-phase totals over all ranks, keyed by span name. Time is
@@ -157,19 +171,13 @@ class TelemetryBoard {
   /// Cache-line-padded so concurrent ranks never share a line.
   struct alignas(64) Slot {
     std::vector<Span> spans;
-    std::vector<WaitSample> waits;
-    std::vector<Counter> counters;
+    std::vector<Event> events;
     std::vector<int> open;  ///< stack of open span indices
-    std::uint64_t orphan_bytes = 0;  ///< sent outside any span
     int queue_hwm = 0;
   };
 
   Slot& slot(int rank);
   [[nodiscard]] const Slot& slot(int rank) const;
-
-  /// Epoch-relative timestamp for `rank`: its virtual clock when attached,
-  /// the steady clock otherwise.
-  [[nodiscard]] std::uint64_t stamp_ns(int rank) const;
 
   std::vector<Slot> slots_;
   std::uint64_t epoch_ = 0;
@@ -199,7 +207,7 @@ class ScopedSpan {
 /// Streams one or more boards as a Chrome-trace/Perfetto JSON object
 /// (`{"traceEvents": [...]}`): each board becomes one process (pid), each
 /// rank one named thread, spans become complete ("X") events under
-/// category "phase" and wait samples under category "wait".
+/// category "phase" and blocked receives under category "wait".
 class ChromeTraceWriter {
  public:
   explicit ChromeTraceWriter(std::ostream& os);

@@ -8,21 +8,21 @@
 
 namespace conflux::verify {
 
-CommGraph CommGraph::build(const simnet::TraceRecorder& trace) {
+CommGraph CommGraph::build(const telemetry::TelemetryBoard& log) {
   CommGraph g;
-  g.nranks_ = trace.nranks();
+  g.nranks_ = log.nranks();
   g.rank_begin_.assign(static_cast<std::size_t>(g.nranks_) + 1, 0);
   for (int r = 0; r < g.nranks_; ++r)
     g.rank_begin_[static_cast<std::size_t>(r) + 1] =
         g.rank_begin_[static_cast<std::size_t>(r)] +
-        static_cast<int>(trace.rank_events(r).size());
+        static_cast<int>(log.rank_events(r).size());
   g.nodes_.reserve(static_cast<std::size_t>(g.rank_begin_.back()));
   for (int r = 0; r < g.nranks_; ++r) {
-    const auto& events = trace.rank_events(r);
+    const auto& events = log.rank_events(r);
     for (std::size_t i = 0; i < events.size(); ++i) {
-      const simnet::TraceEvent& e = events[i];
+      const telemetry::Event& e = events[i];
       g.nodes_.push_back({r, static_cast<int>(i), e.kind, e.peer, e.tag,
-                          e.bytes, e.multicast, -1, e.t_ns});
+                          e.bytes, e.multicast, -1, e.end_ns});
     }
   }
 
@@ -33,7 +33,7 @@ CommGraph CommGraph::build(const simnet::TraceRecorder& trace) {
       channels;
   for (std::size_t i = 0; i < g.nodes_.size(); ++i) {
     const CommNode& node = g.nodes_[i];
-    if (node.kind == simnet::EventKind::Send)
+    if (node.kind == EventKind::Send)
       channels[{node.rank, node.peer, node.tag}].first.push_back(
           static_cast<int>(i));
     else
@@ -74,7 +74,7 @@ void CommGraph::compute_clocks() const {
         const int seq = ptr[static_cast<std::size_t>(r)];
         const std::size_t idx = static_cast<std::size_t>(index_of(r, seq));
         const CommNode& node = nodes_[idx];
-        if (node.kind == simnet::EventKind::Recv &&
+        if (node.kind == EventKind::Recv &&
             (node.match < 0 || !issued[static_cast<std::size_t>(node.match)]))
           break;
         int* clock = &clocks_[idx * width];
@@ -84,7 +84,7 @@ void CommGraph::compute_clocks() const {
           std::copy(prev, prev + width, clock);
         }
         clock[static_cast<std::size_t>(r)] = seq + 1;
-        if (node.kind == simnet::EventKind::Recv) {
+        if (node.kind == EventKind::Recv) {
           const int* sent =
               &clocks_[static_cast<std::size_t>(node.match) * width];
           for (std::size_t k = 0; k < width; ++k)

@@ -1,6 +1,6 @@
 /// \file comm_graph.hpp
 /// The CommCheck intermediate representation: a communication graph built
-/// from a TraceRecorder's per-rank event streams. Nodes are (rank, seq, op)
+/// from a TelemetryBoard's per-rank event streams. Nodes are (rank, seq, op)
 /// events in each rank's program order; edges are implied — program order
 /// within a rank, and send -> matching-recv across ranks. Matching mirrors
 /// the fabric's semantics exactly: FIFO pairing of the k-th send with the
@@ -17,21 +17,24 @@
 #include <span>
 #include <vector>
 
-#include "simnet/trace.hpp"
+#include "simnet/message.hpp"
+#include "support/telemetry.hpp"
 
 namespace conflux::verify {
+
+using telemetry::EventKind;
 
 /// One node of the communication graph.
 struct CommNode {
   int rank = -1;  ///< rank whose stream this event is on
   int seq = -1;   ///< position within that rank's program order
-  simnet::EventKind kind = simnet::EventKind::Send;
+  EventKind kind = EventKind::Send;
   int peer = -1;  ///< destination (Send) or source (Recv)
   simnet::Tag tag = 0;
   std::uint64_t bytes = 0;
   bool multicast = false;
   int match = -1;  ///< global index of the matched counterpart; -1 unmatched
-  std::uint64_t t_ns = 0;  ///< completion time (ns since recorder epoch)
+  std::uint64_t t_ns = 0;  ///< completion time (ns since the board's epoch)
 };
 
 /// The IR. Nodes are stored grouped by rank, ascending seq, so a rank's
@@ -39,7 +42,7 @@ struct CommNode {
 class CommGraph {
  public:
   /// Build the graph (including send/recv matching) from recorded streams.
-  [[nodiscard]] static CommGraph build(const simnet::TraceRecorder& trace);
+  [[nodiscard]] static CommGraph build(const telemetry::TelemetryBoard& log);
 
   [[nodiscard]] int nranks() const { return nranks_; }
   [[nodiscard]] const std::vector<CommNode>& nodes() const { return nodes_; }

@@ -8,7 +8,7 @@
 #include "cholesky/cholesky_common.hpp"
 #include "lu/lu_common.hpp"
 #include "models/cost_model.hpp"
-#include "simnet/trace.hpp"
+#include "simnet/message.hpp"
 #include "support/assert.hpp"
 
 namespace conflux::verify {
@@ -76,7 +76,7 @@ CheckResult check_schedule(const Backend& backend, const CheckConfig& config) {
   out.backend = backend;
   out.config = config;
 
-  simnet::TraceRecorder trace;
+  telemetry::TelemetryBoard log;
   MisuseCollector misuse;
 
   factor::FactorConfig base;
@@ -88,7 +88,7 @@ CheckResult check_schedule(const Backend& backend, const CheckConfig& config) {
   base.grid_optimization = config.grid_optimization;
   base.force_layers = config.force_layers;
   base.verify = false;
-  base.trace = &trace;
+  base.telemetry = &log;
 
   double bound_elements_per_rank = 0;
   const models::Instance inst =
@@ -120,8 +120,8 @@ CheckResult check_schedule(const Backend& backend, const CheckConfig& config) {
   const double lower_bound_bytes =
       std::max(0.0, bound_elements_per_rank - resident) * config.p * 8.0;
 
-  out.events = trace.size();
-  const CommGraph graph = CommGraph::build(trace);
+  const CommGraph graph = CommGraph::build(log);
+  out.events = graph.nodes().size();
   VolumeExpectation expect;
   expect.total = out.run.total;
   expect.max_rank_bytes = out.run.max_rank_bytes;

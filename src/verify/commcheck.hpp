@@ -1,10 +1,10 @@
 /// \file commcheck.hpp
 /// CommCheck: the static communication-schedule verifier. Drives a dry run
-/// of a registered (family, backend) with a TraceRecorder attached (no
+/// of a registered (family, backend) with a TelemetryBoard attached (no
 /// numeric flops execute — ghost messages carry byte counts only), lifts
 /// the recorded streams into the CommGraph IR, and proves the schedule
 /// clean with the passes.hpp analyses plus the buffer-ownership lint
-/// collected through the trace.hpp debug hooks.
+/// collected through the message.hpp debug hooks.
 ///
 /// This is the gate every future factorization family must pass: a backend
 /// registered here is swept by tools/commcheck (and the commcheck CTest
@@ -45,7 +45,7 @@ struct CheckResult {
   Backend backend;
   CheckConfig config;
   factor::FactorResult run;          ///< the dry run's volume/grid report
-  std::size_t events = 0;            ///< trace events analyzed
+  std::size_t events = 0;            ///< logged events analyzed
   std::vector<Diagnostic> diags;     ///< all findings, passes + ownership
 
   [[nodiscard]] bool ok() const { return !has_errors(diags); }
@@ -53,7 +53,7 @@ struct CheckResult {
   [[nodiscard]] std::string describe() const;
 };
 
-/// Verify one backend under one configuration: dry run with trace attached,
+/// Verify one backend under one configuration: dry run with a board attached,
 /// graph build, all passes, volume cross-check against the run's CommVolume
 /// stats and the family's I/O lower bound, ownership lint collection.
 [[nodiscard]] CheckResult check_schedule(const Backend& backend,

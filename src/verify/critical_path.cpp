@@ -30,7 +30,7 @@ CriticalPath walk(const CommGraph& g) {
     const CommNode& node = nodes[static_cast<std::size_t>(cur)];
     int next = -1;
     if (node.seq > 0) next = g.index_of(node.rank, node.seq - 1);
-    if (node.kind == simnet::EventKind::Recv && node.match >= 0) {
+    if (node.kind == EventKind::Recv && node.match >= 0) {
       if (next < 0 ||
           nodes[static_cast<std::size_t>(node.match)].t_ns >
               nodes[static_cast<std::size_t>(next)].t_ns)

@@ -1,6 +1,6 @@
 /// \file critical_path.hpp
-/// ConfScope's critical-path analysis: lift a *timed* trace (TraceEvent
-/// completion stamps) onto the CommGraph's happens-before structure and
+/// ConfScope's critical-path analysis: lift a *timed* event log (each
+/// event's completion stamp) onto the CommGraph's happens-before structure and
 /// walk back from the globally latest event, at every node following the
 /// later-finishing of its two possible predecessors — the program-order
 /// predecessor on the same rank, or (for a receive) the matched send. The
@@ -16,10 +16,6 @@
 #include <vector>
 
 #include "verify/comm_graph.hpp"
-
-namespace conflux::telemetry {
-class TelemetryBoard;
-}
 
 namespace conflux::verify {
 
@@ -37,8 +33,8 @@ struct CriticalPath {
   std::vector<double> slack_seconds;
 };
 
-/// Extract the critical path of `g`. Requires a trace recorded live (the
-/// fabric stamps every event); an empty graph yields an empty path.
+/// Extract the critical path of `g`. Requires an event log recorded live
+/// (the fabric stamps every event); an empty graph yields an empty path.
 [[nodiscard]] CriticalPath extract_critical_path(const CommGraph& g);
 
 /// As above, but slack is computed against ConfScope's per-rank busy time

@@ -13,8 +13,8 @@ CommContext context_of(const CommNode& node) {
   CommContext c;
   c.rank = node.rank;
   c.step = node.seq;
-  c.src = node.kind == simnet::EventKind::Send ? node.rank : node.peer;
-  c.dst = node.kind == simnet::EventKind::Send ? node.peer : node.rank;
+  c.src = node.kind == EventKind::Send ? node.rank : node.peer;
+  c.dst = node.kind == EventKind::Send ? node.peer : node.rank;
   return c.with_tag(node.tag);
 }
 
@@ -52,12 +52,12 @@ std::vector<Diagnostic> check_matching(const CommGraph& g) {
     if (node.match < 0) {
       diags.push_back(make_diag(
           Severity::Error, "matching", node,
-          node.kind == simnet::EventKind::Send
+          node.kind == EventKind::Send
               ? "send is never received (dropped message)"
               : "orphan recv: no send can ever satisfy this receive"));
       continue;
     }
-    if (node.kind == simnet::EventKind::Send) {
+    if (node.kind == EventKind::Send) {
       const CommNode& recv =
           g.nodes()[static_cast<std::size_t>(node.match)];
       if (recv.bytes != node.bytes) {
@@ -90,7 +90,7 @@ std::vector<Diagnostic> check_deadlock(const CommGraph& g) {
              static_cast<int>(stream.size())) {
         const CommNode& node =
             stream[static_cast<std::size_t>(ptr[static_cast<std::size_t>(r)])];
-        if (node.kind == simnet::EventKind::Recv &&
+        if (node.kind == EventKind::Recv &&
             (node.match < 0 || !issued[static_cast<std::size_t>(node.match)]))
           break;
         issued[static_cast<std::size_t>(g.index_of(r, node.seq))] = 1;
@@ -181,7 +181,7 @@ std::vector<Diagnostic> check_tags(const CommGraph& g) {
   std::map<std::tuple<int, int, simnet::Tag>, std::vector<int>> sends;
   for (std::size_t i = 0; i < g.nodes().size(); ++i) {
     const CommNode& node = g.nodes()[i];
-    if (node.kind == simnet::EventKind::Send)
+    if (node.kind == EventKind::Send)
       sends[{node.rank, node.peer, node.tag}].push_back(static_cast<int>(i));
   }
   for (const auto& [key, list] : sends) {
@@ -225,7 +225,7 @@ std::vector<Diagnostic> check_volume(const CommGraph& g,
   std::vector<std::uint64_t> recvd(static_cast<std::size_t>(g.nranks()), 0);
   for (const CommNode& node : g.nodes()) {
     if (node.rank == node.peer) continue;
-    if (node.kind == simnet::EventKind::Send) {
+    if (node.kind == EventKind::Send) {
       total.bytes_sent += node.bytes;
       ++total.messages_sent;
       sent[static_cast<std::size_t>(node.rank)] += node.bytes;

@@ -18,9 +18,9 @@
 ///               proven I/O lower bound.
 ///
 /// The buffer-ownership lint (use-after-take, in-flight mutation) is
-/// dynamic by nature; its reports are collected through the trace.hpp debug
-/// hooks and folded into the same Diagnostic stream by the driver
-/// (commcheck.hpp).
+/// dynamic by nature; its reports are collected through the message.hpp
+/// debug hooks and folded into the same Diagnostic stream by
+/// check_schedule (commcheck.hpp).
 #pragma once
 
 #include <string>

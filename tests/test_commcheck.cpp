@@ -14,16 +14,15 @@
 #include "linalg/generate.hpp"
 #include "lu/lu_common.hpp"
 #include "simnet/network.hpp"
-#include "simnet/trace.hpp"
 #include "support/assert.hpp"
+#include "support/telemetry.hpp"
 #include "verify/commcheck.hpp"
 
 namespace conflux::verify {
 namespace {
 
-using simnet::EventKind;
 using simnet::Tag;
-using simnet::TraceRecorder;
+using telemetry::TelemetryBoard;
 
 bool any_diag(const std::vector<Diagnostic>& diags, const std::string& pass,
               const std::string& needle) {
@@ -68,7 +67,7 @@ VolumeExpectation consistent_expectation(const CommGraph& g) {
 // ---- CommGraph IR --------------------------------------------------------
 
 TEST(CommGraph, FifoMatchingAndHappensBefore) {
-  TraceRecorder rec(2);
+  TelemetryBoard rec(2);
   rec.record_send(0, 1, 7, 8);
   rec.record_send(0, 1, 7, 16);
   rec.record_recv(1, 0, 7, 8);
@@ -100,7 +99,7 @@ TEST(SeededDefects, WaitForCycleIsDetected) {
   // Both ranks receive first, send second: the classic head-to-head
   // exchange deadlock under blocking receives. Every message is matched, so
   // only the deadlock pass may fire.
-  TraceRecorder rec(2);
+  TelemetryBoard rec(2);
   rec.record_recv(0, 1, 11, 8);
   rec.record_send(0, 1, 10, 8);
   rec.record_recv(1, 0, 10, 8);
@@ -127,7 +126,7 @@ TEST(SeededDefects, WaitForCycleIsDetected) {
 
 TEST(SeededDefects, OrphanRecvIsDetected) {
   // Rank 1 waits for a message nobody ever sends.
-  TraceRecorder rec(2);
+  TelemetryBoard rec(2);
   rec.record_send(0, 1, 5, 8);
   rec.record_recv(1, 0, 5, 8);
   rec.record_recv(1, 0, 6, 8);  // no matching send anywhere
@@ -151,7 +150,7 @@ TEST(SeededDefects, OrphanRecvIsDetected) {
 }
 
 TEST(SeededDefects, DroppedSendIsDetected) {
-  TraceRecorder rec(2);
+  TelemetryBoard rec(2);
   rec.record_send(0, 1, 5, 8);  // never received
   const CommGraph g = CommGraph::build(rec);
   const auto diags = check_matching(g);
@@ -164,7 +163,7 @@ TEST(SeededDefects, TagCollisionIsDetected) {
   // Two back-to-back sends reuse a tag on the same (src, dst) channel with
   // nothing forcing the first receive before the second send: matching
   // becomes arrival-order dependent.
-  TraceRecorder rec(2);
+  TelemetryBoard rec(2);
   rec.record_send(0, 1, 9, 8);
   rec.record_send(0, 1, 9, 8);
   rec.record_recv(1, 0, 9, 8);
@@ -182,7 +181,7 @@ TEST(SeededDefects, TagCollisionIsDetected) {
 TEST(SeededDefects, AcknowledgedTagReuseIsClean) {
   // Same tag reused, but an ack round-trip orders the first receive before
   // the second send — a legal (and common) reuse pattern.
-  TraceRecorder rec(2);
+  TelemetryBoard rec(2);
   rec.record_send(0, 1, 9, 8);   // seq 0
   rec.record_recv(0, 1, 99, 8);  // seq 1: wait for the ack
   rec.record_send(0, 1, 9, 8);   // seq 2: safe reuse
@@ -198,7 +197,7 @@ TEST(SeededDefects, AcknowledgedTagReuseIsClean) {
 // ---- seeded defect 4: volume-accounting mismatch -------------------------
 
 TEST(SeededDefects, VolumeAccountingMismatchIsDetected) {
-  TraceRecorder rec(2);
+  TelemetryBoard rec(2);
   rec.record_send(0, 1, 3, 100);
   rec.record_recv(1, 0, 3, 100);
   const CommGraph g = CommGraph::build(rec);
@@ -215,7 +214,7 @@ TEST(SeededDefects, VolumeAccountingMismatchIsDetected) {
 }
 
 TEST(SeededDefects, VolumeBelowLowerBoundIsDetected) {
-  TraceRecorder rec(2);
+  TelemetryBoard rec(2);
   rec.record_send(0, 1, 3, 100);
   rec.record_recv(1, 0, 3, 100);
   const CommGraph g = CommGraph::build(rec);
@@ -230,13 +229,13 @@ TEST(SeededDefects, CaluRealScheduleDetectsSeededVolumeDefects) {
   // The synthetic-graph defects above prove each pass in isolation; this
   // runs them against the real CALU dry-run schedule so the new backend is
   // part of the seeded-defect matrix too: clean as recorded, and each
-  // seeded accounting defect is caught on the genuine trace.
+  // seeded accounting defect is caught on the genuine schedule.
   lu::LuConfig cfg;
   cfg.n = 128;
   cfg.p = 8;
   cfg.mode = lu::Mode::DryRun;
-  TraceRecorder rec(8);
-  cfg.trace = &rec;
+  TelemetryBoard rec(8);
+  cfg.telemetry = &rec;
   (void)lu::make_algorithm("CALU")->run(nullptr, cfg);
   const CommGraph g = CommGraph::build(rec);
 
@@ -256,7 +255,7 @@ TEST(SeededDefects, CaluRealScheduleDetectsSeededVolumeDefects) {
 TEST(SeededDefects, SelfSendsAreExcludedFromVolume) {
   // Multicast destination lists include the sender; StatsBoard counts no
   // bytes for the self-delivery and the graph accounting must agree.
-  TraceRecorder rec(2);
+  TelemetryBoard rec(2);
   rec.record_send(0, 0, 4, 64, true);
   rec.record_send(0, 1, 4, 64, true);
   rec.record_recv(0, 0, 4, 64);
@@ -298,15 +297,16 @@ TEST(OwnershipLint, DefaultHandlerThrows) {
 
 TEST(OwnershipLint, InFlightMutationOfSharedPayloadIsDetected) {
   // A rank mutating an immutable shared payload while it sits in a mailbox
-  // is the aliasing bug the zero-copy fabric must never allow. The trace
-  // fingerprint stamped at deliver time catches it at receive time.
+  // is the aliasing bug the zero-copy fabric must never allow. With an
+  // event log attached, the fingerprint stamped at deliver time catches it
+  // at receive time.
   std::vector<std::string> reports;
   auto previous = simnet::set_buffer_misuse_handler(
       [&](const std::string& what) { reports.push_back(what); });
 
-  simnet::TraceRecorder rec;
+  TelemetryBoard rec;
   simnet::Network net(2);
-  net.set_trace(&rec);
+  net.set_telemetry(&rec);
   simnet::SharedBuffer buf =
       simnet::make_shared_buffer(std::vector<double>{1.0, 2.0, 3.0});
   auto* storage = const_cast<std::vector<double>*>(buf.get());
@@ -377,25 +377,25 @@ TEST(CommCheck, ForcedReplicationDepthsVerifyClean) {
 }
 
 TEST(CommCheck, NumericRunsVerifyCleanToo) {
-  // The trace hook is not dry-run-only: a numeric COnfCHOX run (pivot-free,
+  // The event log is not dry-run-only: a numeric COnfCHOX run (pivot-free,
   // so bit-identical schedule) must produce the same clean graph, and its
   // materialized payloads exercise the fingerprint integrity check for
   // real — every multicast payload is hashed at deliver and re-checked at
   // receive.
-  simnet::TraceRecorder rec;
+  TelemetryBoard rec;
   const linalg::Matrix a = linalg::generate(64, linalg::MatrixKind::Spd, 7);
   cholesky::CholConfig cfg;
   cfg.n = 64;
   cfg.p = 4;
   cfg.mode = cholesky::Mode::Numeric;
-  cfg.trace = &rec;
+  cfg.telemetry = &rec;
   const cholesky::CholResult numeric =
       cholesky::make_cholesky_algorithm("COnfCHOX")->run(&a, cfg);
   EXPECT_TRUE(numeric.spd);
   EXPECT_LT(numeric.residual, 1e-11);
-  EXPECT_GT(rec.size(), 0u);
 
   const CommGraph g = CommGraph::build(rec);
+  EXPECT_GT(g.nodes().size(), 0u);
   VolumeExpectation expect;
   expect.total = numeric.total;
   expect.max_rank_bytes = numeric.max_rank_bytes;
@@ -411,7 +411,7 @@ TEST(CommCheck, NumericRunsVerifyCleanToo) {
   config.p = 4;
   const CheckResult dry = check_schedule(backend, config);
   EXPECT_TRUE(dry.ok()) << dry.describe();
-  EXPECT_EQ(dry.events, rec.size());
+  EXPECT_EQ(dry.events, g.nodes().size());
 }
 
 TEST(CommCheck, SweepCoversEveryBackend) {

@@ -168,16 +168,16 @@ TEST(Candmc, ReplicatedLayersStayCoherent) {
 // optimized BLAS is pinned; the reference path sums in a different order.
 //
 // The bits are those of the recording build: GCC 12, Release, -march=native
-// on an AVX-512 host, no sanitizer. Other compilers, ISAs and instrumented
-// builds contract and order floating-point operations differently (the
-// unchanged ScaLAPACK-Cholesky factors already differ under
-// -march=x86-64-v3, at -O2 and under ASan), so there only the grid and the
-// residual are checked. The same rounding argument is checked in every
+// on an AVX-512 host, no sanitizer (CMake defines CONFLUX_FACTOR_PIN_BUILD
+// for the build settings; compiler and ISA are checked below). Other
+// compilers, ISAs and instrumented builds contract and order floating-point
+// operations differently (the unchanged ScaLAPACK-Cholesky factors already
+// differ under -march=x86-64-v3, at -O2 and under ASan), so there only the
+// grid and the residual are checked. The same rounding argument is checked in every
 // build at kernel level by test_linalg_blas's
 // ScatteredGemm.OptimizedMinusOneMatchesSubtractingAZeroedProduct.
 #if defined(__GNUC__) && !defined(__clang__) && __GNUC__ == 12 && \
-    defined(__AVX512F__) && defined(NDEBUG) &&                      \
-    !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+    defined(__AVX512F__) && defined(CONFLUX_FACTOR_PIN_BUILD)
 constexpr bool kPinnedBuild = true;
 #else
 constexpr bool kPinnedBuild = false;

@@ -1,7 +1,8 @@
-// Tests for ConfScope's span recorder: balanced instrumentation and byte
-// attribution across every registered backend, the zero-allocation
-// disabled-mode contract, wait-sample and queue-high-water-mark fabric
-// metrics, and the Chrome-trace export's JSON validity.
+// Tests for the per-rank event log: balanced spans, byte attribution and
+// send/receive events that agree with the CommVolume counters across every
+// registered backend, the zero-allocation disabled-mode contract, blocked
+// receive and queue-high-water-mark fabric metrics, and the Chrome-trace
+// export's JSON validity.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -205,6 +206,42 @@ TEST(Telemetry, SpansBalancedAndBytesAttributedOnEveryBackend) {
       EXPECT_LE(board.busy_seconds(r),
                 board.wall_seconds() + 1e-9)
           << b.family << "/" << b.name << " rank " << r;
+
+    // The event log records every message the CommVolume counters count,
+    // once: per rank, its remote Sends and Recvs match StatsBoard's counts
+    // and bytes (self-sends are free on both sides), and its Recv intervals
+    // sum to blocked_seconds.
+    ASSERT_EQ(run.rank_volume.size(), static_cast<std::size_t>(board.nranks()))
+        << b.family << "/" << b.name;
+    for (int r = 0; r < board.nranks(); ++r) {
+      simnet::CommVolume logged;
+      std::uint64_t blocked_ns = 0;
+      for (const telemetry::Event& e : board.rank_events(r)) {
+        if (e.kind == telemetry::EventKind::Recv)
+          blocked_ns += e.end_ns - e.begin_ns;
+        if (e.peer == r) continue;
+        if (e.kind == telemetry::EventKind::Send) {
+          logged.bytes_sent += e.bytes;
+          ++logged.messages_sent;
+        } else {
+          logged.bytes_received += e.bytes;
+          ++logged.messages_received;
+        }
+      }
+      const simnet::CommVolume& stats =
+          run.rank_volume[static_cast<std::size_t>(r)];
+      EXPECT_EQ(logged.bytes_sent, stats.bytes_sent)
+          << b.family << "/" << b.name << " rank " << r;
+      EXPECT_EQ(logged.messages_sent, stats.messages_sent)
+          << b.family << "/" << b.name << " rank " << r;
+      EXPECT_EQ(logged.bytes_received, stats.bytes_received)
+          << b.family << "/" << b.name << " rank " << r;
+      EXPECT_EQ(logged.messages_received, stats.messages_received)
+          << b.family << "/" << b.name << " rank " << r;
+      EXPECT_EQ(board.blocked_seconds(r),
+                static_cast<double>(blocked_ns) / 1e9)
+          << b.family << "/" << b.name << " rank " << r;
+    }
   }
 }
 
@@ -218,7 +255,7 @@ TEST(Telemetry, DisabledSpansAllocateNothing) {
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), before);
 }
 
-TEST(Telemetry, WaitSamplesAttributeBlockedTimeToSourceAndTag) {
+TEST(Telemetry, RecvEventsAttributeBlockedTimeToSourceAndTag) {
   simnet::Network net(2);
   telemetry::TelemetryBoard board;
   net.set_telemetry(&board);
@@ -230,15 +267,20 @@ TEST(Telemetry, WaitSamplesAttributeBlockedTimeToSourceAndTag) {
       (void)comm.recv_view(0, 7);
     }
   });
-  const std::vector<telemetry::WaitSample>& waits = board.rank_waits(1);
-  ASSERT_EQ(waits.size(), 1u);
-  EXPECT_EQ(waits[0].src, 0);
-  EXPECT_EQ(waits[0].tag, 7u);
-  EXPECT_EQ(waits[0].bytes, 4 * sizeof(double));
+  const std::vector<telemetry::Event>& recvs = board.rank_events(1);
+  ASSERT_EQ(recvs.size(), 1u);
+  EXPECT_EQ(recvs[0].kind, telemetry::EventKind::Recv);
+  EXPECT_EQ(recvs[0].peer, 0);
+  EXPECT_EQ(recvs[0].tag, 7u);
+  EXPECT_EQ(recvs[0].bytes, 4 * sizeof(double));
   // Rank 1 sat parked through most of the sender's 20 ms sleep.
-  EXPECT_GE(waits[0].ns, 10u * 1000 * 1000);
+  EXPECT_GE(recvs[0].end_ns - recvs[0].begin_ns, 10u * 1000 * 1000);
   EXPECT_GE(board.blocked_seconds(1), 0.010);
-  EXPECT_EQ(board.rank_waits(0).size(), 0u);
+  // The sender's stream holds its one Send and no blocked time.
+  const std::vector<telemetry::Event>& sends = board.rank_events(0);
+  ASSERT_EQ(sends.size(), 1u);
+  EXPECT_EQ(sends[0].kind, telemetry::EventKind::Send);
+  EXPECT_EQ(board.blocked_seconds(0), 0.0);
 }
 
 TEST(Telemetry, QueueHighWaterMarkSeesReceiverBacklog) {
@@ -285,17 +327,6 @@ TEST(Telemetry, BytesLandOnTheSendersInnermostSpan) {
   ASSERT_TRUE(totals.count(telemetry::kLayerReduction) != 0);
   EXPECT_EQ(totals.at(telemetry::kSchurUpdate).bytes, 3 * sizeof(double));
   EXPECT_EQ(totals.at(telemetry::kLayerReduction).bytes, 5 * sizeof(double));
-}
-
-TEST(Telemetry, CountersMergeByName) {
-  telemetry::TelemetryBoard board(2);
-  board.add_counter(0, "steps");
-  board.add_counter(0, "steps", 2);
-  board.add_counter(0, "spills", 7);
-  ASSERT_EQ(board.rank_counters(0).size(), 2u);
-  EXPECT_EQ(board.rank_counters(0)[0].value, 3u);
-  EXPECT_EQ(board.rank_counters(0)[1].value, 7u);
-  EXPECT_EQ(board.rank_counters(1).size(), 0u);
 }
 
 TEST(Telemetry, PhaseTotalsUseExclusiveTime) {

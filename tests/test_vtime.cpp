@@ -615,11 +615,12 @@ TEST(VirtualTime, TelemetrySpansCarryVirtualTimestamps) {
   const auto expect_ns =
       static_cast<std::uint64_t>((1024 * beta + alpha) * 1e9);
   EXPECT_EQ(spans[0].end_ns, expect_ns);
-  // The receive recorded a virtual-time wait sample of the blocked interval.
-  const auto& waits = board.rank_waits(1);
-  ASSERT_EQ(waits.size(), 1u);
-  EXPECT_EQ(waits[0].begin_ns, 0u);
-  EXPECT_EQ(waits[0].ns, expect_ns);
+  // The receive recorded its blocked interval in virtual time.
+  const auto& events = board.rank_events(1);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].kind, telemetry::EventKind::Recv);
+  EXPECT_EQ(events[0].begin_ns, 0u);
+  EXPECT_EQ(events[0].end_ns, expect_ns);
 }
 
 // --- numeric runs on the fiber scheduler (regression) -----------------------

@@ -1,8 +1,8 @@
 /// commcheck — the static communication-schedule verifier CLI.
 ///
-/// Dry-runs registered factorization backends with a trace recorder
-/// attached, lifts the recorded schedule into the CommGraph IR
-/// (src/verify), and runs the analysis passes: send/recv matching,
+/// Dry-runs registered factorization backends with an event log (a
+/// TelemetryBoard) attached, lifts the recorded schedule into the CommGraph
+/// IR (src/verify), and runs the analysis passes: send/recv matching,
 /// deadlock freedom, tag hygiene, volume conservation against CommVolume
 /// stats and the family's I/O lower bound, plus the buffer-ownership lint.
 ///
@@ -24,7 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "simnet/trace.hpp"
+#include "support/telemetry.hpp"
 #include "verify/commcheck.hpp"
 
 namespace {
@@ -75,8 +75,7 @@ void print_usage(std::ostream& os) {
 /// verifier claims to catch actually produces a located diagnostic and a
 /// non-zero exit.
 int run_seeded_defect(const std::string& which) {
-  using conflux::simnet::TraceRecorder;
-  TraceRecorder rec(2);
+  conflux::telemetry::TelemetryBoard rec(2);
   conflux::verify::VolumeExpectation expect;
   if (which == "deadlock") {
     // Head-to-head exchange: both ranks receive before they send.

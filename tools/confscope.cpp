@@ -1,7 +1,7 @@
 /// confscope — the ConfScope profiler CLI.
 ///
 /// Dry-runs (or, with --numeric, fully executes) registered factorization
-/// backends with a TelemetryBoard and a TraceRecorder attached, then
+/// backends with a TelemetryBoard (the per-rank event log) attached, then
 /// reports the model-vs-measured profile:
 ///
 ///   - per-phase table: exclusive time, blocked-in-recv time, and wire
@@ -46,7 +46,6 @@
 #include "models/cost_model.hpp"
 #include "models/machines.hpp"
 #include "models/phase_model.hpp"
-#include "simnet/trace.hpp"
 #include "support/json_writer.hpp"
 #include "support/table.hpp"
 #include "support/telemetry.hpp"
@@ -166,13 +165,12 @@ std::unique_ptr<conflux::models::CostModel> total_model_for(
   return nullptr;
 }
 
-/// Run one backend with telemetry + trace attached and collect its profile.
+/// Run one backend with its event log attached and collect its profile.
 Profile profile_backend(const Backend& backend, const Options& opt) {
   Profile out;
   out.backend = backend;
   out.board = std::make_unique<conflux::telemetry::TelemetryBoard>();
 
-  conflux::simnet::TraceRecorder trace;
   conflux::factor::FactorConfig base;
   base.n = opt.n;
   base.p = opt.p;
@@ -181,7 +179,6 @@ Profile profile_backend(const Backend& backend, const Options& opt) {
   base.mode = opt.numeric ? conflux::factor::Mode::Numeric
                           : conflux::factor::Mode::DryRun;
   base.verify = opt.numeric;
-  base.trace = &trace;
   base.telemetry = out.board.get();
   if (opt.virtual_time) {
     const conflux::models::Machine m =
@@ -213,7 +210,7 @@ Profile profile_backend(const Backend& backend, const Options& opt) {
 
   out.phases = out.board->phase_totals();
   const conflux::verify::CommGraph graph =
-      conflux::verify::CommGraph::build(trace);
+      conflux::verify::CommGraph::build(*out.board);
   out.path = conflux::verify::extract_critical_path(graph, *out.board);
 
   // The per-phase model replays the auto-tuned schedule; a forced grid or
