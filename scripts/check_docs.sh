@@ -7,10 +7,10 @@
 #  2. Every intra-repo Markdown link resolves to an existing file.
 #     External links (http/https/mailto) and pure #anchors are ignored;
 #     `path#anchor` links are checked for the path part only.
-#  3. No stale CLI flags: every `--flag` a Markdown line mentions alongside
+#  3. No stale CLI flags: every `--flag` a Markdown line mentions after
 #     one of the repo's binaries (commcheck, confscope, bench_*) must appear
-#     literally in that binary's source, so docs cannot outlive a renamed or
-#     removed option.
+#     literally in the source of the nearest binary named before it, so
+#     docs cannot outlive a renamed or removed option.
 #  4. No malformed Doxygen member markers: a bare `/<` (a typo for the
 #     `///<` trailing-comment marker) renders as literal noise in the docs
 #     and silently drops the comment from the generated output.
@@ -62,26 +62,31 @@ flag_source_for() {
 
 while IFS= read -r md; do
   while IFS= read -r line; do
-    for bin in $(grep -oE '\b(commcheck|confscope|bench_[a-z0-9_]+)\b' <<<"$line" |
-                 sort -u); do
-      src=$(flag_source_for "$bin")
-      [ -f "$src" ] || continue  # binary gated off (e.g. bench_kernels): skip
-      for flag in $(grep -oE '\-\-[a-z][a-z0-9_-]*' <<<"$line" | sort -u); do
-        case "$flag" in
-          --benchmark_*) continue ;;  # google-benchmark built-ins
-        esac
-        if ! grep -qF -- "$flag" "$src"; then
-          echo "error: $md mentions flag '$flag' of $bin, not found in $src" >&2
-          fail=1
-        fi
-      done
+    # Binary names and flags in line order; each flag belongs to the
+    # nearest binary named before it (flags before any binary are skipped).
+    src=""
+    for tok in $(grep -oE -e '\b(commcheck|confscope|bench_[a-z0-9_]+)\b' \
+                          -e '--[a-z][a-z0-9_-]*' <<<"$line"); do
+      case "$tok" in
+        --benchmark_*) continue ;;  # google-benchmark built-ins
+        --*)
+          [ -f "$src" ] || continue  # no binary yet, or gated off (bench_kernels)
+          if ! grep -qF -- "$tok" "$src"; then
+            echo "error: $md mentions flag '$tok' of $bin, not found in $src" >&2
+            fail=1
+          fi
+          ;;
+        *)
+          bin=$tok
+          src=$(flag_source_for "$bin")
+          ;;
+      esac
     done
   done < <(grep -E '\b(commcheck|confscope|bench_[a-z0-9_]+)\b.*--[a-z]' "$md" || true)
 done < <(find . -mindepth 1 \( -name build -o -name '.*' \) -prune -o \
          -name '*.md' ! -name CHANGES.md -print | sort)
-# CHANGES.md is exempt: its entries are one-line-per-PR history blobs that
-# routinely name several binaries and another tool's flags in one line,
-# which the per-line attribution above cannot parse.
+# CHANGES.md is exempt: its entries are history, and name flags that were
+# renamed or removed later.
 
 # --- 4: malformed Doxygen trailing-comment markers ---------------------------
 # Strip every well-formed `///<` occurrence, then flag any surviving `/<`:

@@ -145,20 +145,23 @@ void reduce_panel_column(const Plan& plan, RankState& st, const Comm& comm,
   }
 }
 
-/// ---- Step 2: factor the diagonal block, broadcast L00 --------------------
+/// ---- Step 2: factor the diagonal block, broadcast L00 to its readers ----
 /// The owner of tile (t, t) on the reducing layer runs the sequential
-/// potrf; L00 then travels to every active rank (v^2 per step — the same
-/// lower-order term as COnfLUX's A00 broadcast, minus the pivot indices).
+/// potrf; L00 then travels a binomial tree over the Px panel leaders
+/// (px, py_c, l_star) — `readers`, rooted at that owner — the only ranks
+/// whose step-3 solve reads it (v^2 per leader per step, the counterpart
+/// of COnfLUX's A00 broadcast minus the pivot indices). Every other rank
+/// returns an empty matrix.
 Matrix factor_and_bcast_a00(const Plan& plan, RankState& st, const Comm& comm,
-                            int t, int l_star, int py_c,
-                            const simnet::Group& world,
+                            int t, const simnet::Group& readers,
                             std::atomic<bool>* not_spd) {
   const int v = plan.v;
-  const int root = plan.g.rank_of({t % plan.g.px_extent(), py_c, l_star});
+  if (readers.index_of(comm.rank()) < 0) return {};
+  const Tag tag = make_tag(3, static_cast<std::uint32_t>(t), 0);
   Matrix a00(v, v);
   if (plan.numeric) {
     std::vector<double> flat(static_cast<std::size_t>(v) * v, 0.0);
-    if (comm.rank() == root) {
+    if (comm.rank() == readers.at(0)) {
       linalg::MatrixView tile(tile_at(plan, st, t, t), v, v, v);
       if (linalg::potrf_unblocked(tile) != linalg::FactorStatus::Ok)
         not_spd->store(true, std::memory_order_relaxed);
@@ -166,15 +169,31 @@ Matrix factor_and_bcast_a00(const Plan& plan, RankState& st, const Comm& comm,
         for (int j = 0; j <= i; ++j)
           flat[static_cast<std::size_t>(i) * v + j] = tile(i, j);
     }
-    simnet::bcast(comm, world, root, flat,
-                  make_tag(3, static_cast<std::uint32_t>(t), 0));
+    simnet::bcast(comm, readers, 0, flat, tag);
     std::copy(flat.begin(), flat.end(), a00.data());
   } else {
-    (void)simnet::bcast_ghost(
-        comm, world, root, static_cast<std::size_t>(v) * v * sizeof(double),
-        make_tag(3, static_cast<std::uint32_t>(t), 0));
+    (void)simnet::bcast_ghost(comm, readers, 0,
+                              static_cast<std::size_t>(v) * v * sizeof(double),
+                              tag);
   }
   return a00;
+}
+
+/// The readers of step t's L00: the Px panel leaders (px, py_c, l_star),
+/// the tile-(t, t) owner first, then the others in px order.
+/// Index-determined, so the host builds every step's group once and the
+/// ranks share them read-only.
+simnet::Group l00_readers(const Plan& plan, int t) {
+  const int px_count = plan.g.px_extent();
+  const int l_star = t % plan.g.layers();
+  const int py_c = t % plan.g.py_extent();
+  const int px_root = t % px_count;
+  std::vector<int> ranks;
+  ranks.reserve(static_cast<std::size_t>(px_count));
+  ranks.push_back(plan.g.rank_of({px_root, py_c, l_star}));
+  for (int px = 0; px < px_count; ++px)
+    if (px != px_root) ranks.push_back(plan.g.rank_of({px, py_c, l_star}));
+  return simnet::Group(std::move(ranks));
 }
 
 /// ---- Step 3: panel solve at the row leaders ------------------------------
@@ -463,10 +482,13 @@ CholResult Confchox25D::run(const linalg::Matrix* a, const CholConfig& cfg) {
     records = factor::make_step_records(plan.n, plan.v, /*with_a01=*/false);
   std::atomic<bool> not_spd{false};
 
+  std::vector<simnet::Group> readers;
+  readers.reserve(static_cast<std::size_t>(plan.steps));
+  for (int t = 0; t < plan.steps; ++t) readers.push_back(l00_readers(plan, t));
+
   simnet::Network net(plan.active, cfg.fabric);
   factor::attach_instruments(net, cfg);
   plan.tel = cfg.telemetry;
-  const simnet::Group world = simnet::Group::iota(plan.active);
 
   Stopwatch timer;
   simnet::run_spmd(net, [&](Comm& comm) {
@@ -504,14 +526,16 @@ CholResult Confchox25D::run(const linalg::Matrix* a, const CholConfig& cfg) {
                                          telemetry::kLayerReduction, t);
         reduce_panel_column(plan, st, comm, t, l_star, py_c);      // step 1
       }
+      const simnet::Group& step_readers =
+          readers[static_cast<std::size_t>(t)];
       Matrix a00;
       {
         const telemetry::ScopedSpan span(plan.tel, me,
                                          telemetry::kPanelFactor, t);
         a00 = factor_and_bcast_a00(plan, st, comm, t,              // step 2
-                                   l_star, py_c, world, &not_spd);
+                                   step_readers, &not_spd);
       }
-      if (want_records && me == 0) {
+      if (want_records && me == step_readers.at(0)) {
         StepRecord& rec = records[static_cast<std::size_t>(t)];
         for (int q = 0; q < plan.v; ++q)
           rec.pivots[static_cast<std::size_t>(q)] = t * plan.v + q;

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "support/assert.hpp"
 
@@ -77,6 +78,15 @@ class Grid3D {
  private:
   int px_, py_, c_;
 };
+
+/// The ranks of a [Px, Py, c] grid that read step t's diagonal block A00 in
+/// the 2.5D LU engine (lu/block25d.cpp, step 3), tournament root
+/// (0, py_c, l_star) first: the Px row leaders (px, py_c, l_star), then the
+/// Py - 1 other aggregators (px_c, py, l_star), where l_star = t % c,
+/// py_c = t % Py and px_c = t % Px. The engine broadcasts A00 over this
+/// group and the phase model (models/phase_model.cpp) replays the same
+/// tree.
+[[nodiscard]] std::vector<int> lu_a00_readers(const Grid3D& g, int t);
 
 /// A 2D (Pr x Pc) grid for the ScaLAPACK-style baselines; rank =
 /// pr + Pr * pc (column-major process ordering, as ScaLAPACK defaults to).

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "grid/block_cyclic.hpp"
+#include "grid/grid3d.hpp"
 #include "grid/grid_opt.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/panel.hpp"
@@ -166,7 +167,7 @@ void reduce_panel_column(const Plan& plan, RankState& st, const Comm& comm,
 /// ---- Step 2: tournament pivoting over the Px panel owners ---------------
 /// Butterfly: returns (pivots, a00) on every rank with px < fold-size.
 /// Tree: returns them on the tree root (px == 0) only. Everyone else
-/// learns them from the step-3 broadcast.
+/// learns the pivots from the step-3 broadcast, and A00 too if it reads it.
 struct TournamentOutcome {
   std::vector<int> pivots;
   Matrix a00;
@@ -345,41 +346,48 @@ TournamentOutcome run_tournament(const Plan& plan, RankState& st,
   return out;
 }
 
-/// ---- Step 3: broadcast pivots + A00 to all active ranks ------------------
+/// ---- Step 3: pivots to all active ranks, A00 to its readers ---------------
+/// Every rank needs the v pivot indices (row masking), but only the step-7
+/// row leaders and the step-9 aggregators read A00, so the block travels a
+/// second binomial tree over just those ranks (`readers`, rooted at the
+/// tournament root).
 void broadcast_pivot_block(const Plan& plan, RankState& st, const Comm& comm,
                            const StepView& sv, TournamentOutcome& outcome,
-                           const simnet::Group& world) {
+                           const simnet::Group& world,
+                           const simnet::Group& readers) {
   const int v = plan.v;
   const int root = plan.g.rank_of({0, sv.py_c, sv.l_star});
-  if (plan.numeric) {
-    std::vector<int> piv =
-        outcome.have ? outcome.pivots : std::vector<int>();
-    piv.resize(static_cast<std::size_t>(v), -1);
-    simnet::bcast_ints(comm, world, root, piv,
-                       make_tag(3, static_cast<std::uint32_t>(sv.t), 0));
+  const Tag pivot_tag = make_tag(3, static_cast<std::uint32_t>(sv.t), 0);
+  const Tag a00_tag = make_tag(3, static_cast<std::uint32_t>(sv.t), 1);
+  const bool reader = readers.index_of(comm.rank()) >= 0;
+  if (!plan.numeric) {
+    // outcome.pivots already carries the synthetic winners on every rank;
+    // dry runs keep the pivot bookkeeping host-side (DryStep), so there is
+    // no per-rank state to update.
+    (void)simnet::bcast_ghost(comm, world, root,
+                              static_cast<std::size_t>(v) * sizeof(int),
+                              pivot_tag);
+    if (reader)
+      (void)simnet::bcast_ghost(
+          comm, readers, 0,
+          static_cast<std::size_t>(v) * v * sizeof(double), a00_tag);
+    return;
+  }
+  std::vector<int> piv = outcome.have ? outcome.pivots : std::vector<int>();
+  piv.resize(static_cast<std::size_t>(v), -1);
+  simnet::bcast_ints(comm, world, root, piv, pivot_tag);
+  if (reader) {
     std::vector<double> a00_flat;
     if (outcome.have)
       a00_flat.assign(outcome.a00.data(),
                       outcome.a00.data() + outcome.a00.size());
     else
       a00_flat.resize(static_cast<std::size_t>(v) * v);
-    simnet::bcast(comm, world, root, a00_flat,
-                  make_tag(3, static_cast<std::uint32_t>(sv.t), 1));
-    outcome.pivots = std::move(piv);
+    simnet::bcast(comm, readers, 0, a00_flat, a00_tag);
     outcome.a00 = Matrix(v, v);
     std::copy(a00_flat.begin(), a00_flat.end(), outcome.a00.data());
-    outcome.have = true;
-  } else {
-    (void)simnet::bcast_ghost(
-        comm, world, root,
-        static_cast<std::size_t>(v) * sizeof(int) +
-            static_cast<std::size_t>(v) * v * sizeof(double),
-        make_tag(3, static_cast<std::uint32_t>(sv.t), 0));
-    // outcome.pivots already carries the synthetic winners on every rank;
-    // dry runs keep the pivot bookkeeping host-side (DryStep), so there is
-    // no per-rank state to update.
-    return;
   }
+  outcome.pivots = std::move(piv);
   for (int r : outcome.pivots) {
     st.pivoted[static_cast<std::size_t>(r)] = 1;
     st.pivot_order.push_back(r);
@@ -825,6 +833,13 @@ LuResult run_block25d(const linalg::Matrix* a, const LuConfig& cfg,
     }
   }
 
+  std::vector<simnet::Group> readers;
+  readers.reserve(static_cast<std::size_t>(plan.steps));
+  // Index-determined, so the host builds every step's A00 group once and
+  // the ranks share them read-only.
+  for (int t = 0; t < plan.steps; ++t)
+    readers.emplace_back(grid::lu_a00_readers(plan.g, t));
+
   simnet::Network net(plan.active, cfg.fabric);
   factor::attach_instruments(net, cfg);
   plan.tel = cfg.telemetry;
@@ -878,12 +893,15 @@ LuResult run_block25d(const linalg::Matrix* a, const LuConfig& cfg,
       }
       if (!plan.numeric)
         outcome.pivots = dry_sched[static_cast<std::size_t>(t)].pivots;
+      const simnet::Group& step_readers =
+          readers[static_cast<std::size_t>(t)];
       {
         const telemetry::ScopedSpan span(plan.tel, me,
                                          telemetry::kPivotApply, t);
-        broadcast_pivot_block(plan, st, comm, sv, outcome, world);  // step 3
+        broadcast_pivot_block(plan, st, comm, sv, outcome, world,   // step 3
+                              step_readers);
       }
-      if (want_records && comm.rank() == 0) {
+      if (want_records && me == step_readers.at(0)) {
         StepRecord& rec = records[static_cast<std::size_t>(t)];
         rec.pivots = outcome.pivots;
         rec.a00 = outcome.a00;

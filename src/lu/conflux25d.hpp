@@ -5,7 +5,10 @@
 ///     partial sums; only the next panel's column/row strips are summed
 ///     across layers each step (steps 1 and 5),
 ///   - row-masking tournament pivoting: pivot rows are never swapped, only
-///     their indices travel (step 2/3),
+///     their indices travel (step 2/3); step 3 sends the indices to every
+///     rank and the diagonal block A00 only to the Px row leaders and the
+///     Py - 1 other aggregators that read it (this engine's choice; see
+///     docs/ARCHITECTURE.md),
 ///   - 1D panel layouts for the triangular solves (steps 4/6/7/9),
 ///   - layer-sliced panel multicast for the Schur update: each layer
 ///     receives only its v/c slice of A10 and A01 (steps 8/10).

@@ -91,10 +91,11 @@ double ConfluxModel::elements_per_rank(const Instance& inst) const {
   // Block size: same rule as the implementation (v = a*c, bounded steps).
   const int v = conflux::grid::choose_block_size(
       n, g.layers(), conflux::grid::default_block_target(n, g.layers()));
-  // Lower-order tails: the per-step A00 + pivot broadcast (v^2 + v to
-  // every rank) and the tournament butterfly (participants only, amortized
-  // over all ranks).
-  const double a00_bcast = inst.n * v + inst.n;
+  // Lower-order tails: the per-step pivot broadcast (v indices to every
+  // rank) with A00 (v^2) to its Px + Py - 1 readers, and the tournament
+  // butterfly (participants only); both amortized over all ranks.
+  const double a00_bcast =
+      inst.n * v * (g.px_extent() + g.py_extent() - 1) / active + inst.n;
   const double tournament =
       2.0 * inst.n * v *
       (1.0 + std::ceil(std::log2(std::max(2, g.px_extent())))) *
@@ -117,7 +118,8 @@ double CaluModel::elements_per_rank(const Instance& inst) const {
       inst.n, g.px_extent(), g.py_extent(), g.layers());
   const int v = conflux::grid::choose_block_size(
       n, g.layers(), conflux::grid::default_block_target(n, g.layers()));
-  const double a00_bcast = inst.n * v + inst.n;
+  const double a00_bcast =
+      inst.n * v * (g.px_extent() + g.py_extent() - 1) / active + inst.n;
   // Tree tournament: Px - 1 candidate blocks per panel (each <= 2v x v
   // counted at both endpoints, like the butterfly term), no log factor.
   const double tournament = 2.0 * inst.n * v * g.px_extent() / active;
@@ -147,8 +149,9 @@ double ConfchoxModel::elements_per_rank(const Instance& inst) const {
   // Block size: same rule as the implementation.
   const int v = conflux::grid::choose_block_size(
       n, g.layers(), conflux::grid::default_block_target(n, g.layers()));
-  // Lower-order tail: the per-step L00 broadcast (v^2 to every rank).
-  const double l00_bcast = inst.n * v;
+  // Lower-order tail: the per-step L00 broadcast (v^2 to each of the Px
+  // panel leaders, amortized over all ranks).
+  const double l00_bcast = inst.n * v * g.px_extent() / g.active();
   return per_rank + l00_bcast;
 }
 

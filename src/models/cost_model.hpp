@@ -86,7 +86,9 @@ class CandmcModel final : public CostModel {
 
 /// COnfLUX: N^3/(P sqrt M) leading term plus the lazy-reduction and scatter
 /// lower-order terms of Lemma 10, evaluated on the grid the implementation
-/// itself would pick.
+/// itself would pick. The step-3 tail is N (pivot indices) plus
+/// N v (Px + Py - 1) / active elements per rank: A00 goes only to the row
+/// leaders and aggregators that read it, not to every rank.
 class ConfluxModel final : public CostModel {
  public:
   [[nodiscard]] std::string name() const override { return "COnfLUX"; }
@@ -118,8 +120,9 @@ class CaluModel final : public CostModel {
 // --- Cholesky family (journal extension, arXiv:2108.09337) ----------------
 
 /// COnfCHOX: N^3/(P sqrt M) leading term (same layer-sliced multicasts as
-/// COnfLUX) plus the halved lazy-reduction tail and the L00 broadcast,
-/// evaluated on the grid the implementation itself would pick.
+/// COnfLUX) plus the halved lazy-reduction tail and the L00 broadcast to
+/// the Px panel leaders (N v Px / active elements per rank), evaluated on
+/// the grid the implementation itself would pick.
 class ConfchoxModel final : public CostModel {
  public:
   [[nodiscard]] std::string name() const override { return "COnfCHOX"; }

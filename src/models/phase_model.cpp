@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "grid/block_cyclic.hpp"
+#include "grid/grid3d.hpp"
 #include "grid/grid_opt.hpp"
 #include "support/assert.hpp"
 
@@ -124,8 +126,9 @@ std::vector<PhaseVolume> predict_lu_phases(const std::string& algo, int n,
     tournament += algo == "CALU" ? tree_bytes(px, s0, v)
                                  : butterfly_bytes(px, s0, v);
 
-    // Step 3: pivots (v ints) + A00 (v^2 doubles) to every other rank.
-    pivot += (active - 1) * (8.0 * v * v + 4.0 * v);
+    // Step 3: pivots (v ints) to every other rank; A00 (v^2 doubles) to
+    // the other px + py - 2 readers (row leaders and aggregators).
+    pivot += (active - 1) * 4.0 * v + (px + py - 2.0) * 8.0 * v * v;
 
     // Steps 8 + 10: layer-sliced A10/A01 multicasts; each side reaches
     // px (resp. py) recipients per layer and skips the 1/c self-slice.
@@ -174,6 +177,29 @@ std::vector<PhaseTime> predict_lu_phase_times(const std::string& algo, int n,
     s += bytes * b;
     d = std::max(d, s + a);
   };
+  // A binomial-tree broadcast over `members` from members[root_index]
+  // (collectives.hpp bcast shape: vrank order, children in increasing mask
+  // order, the payload forwarded hop-to-hop). Every arrival is written by
+  // the parent before the child reads it.
+  std::vector<double> arrive(static_cast<std::size_t>(nr));
+  const auto bcast = [&](const std::vector<int>& members, int root_index,
+                         double bytes) {
+    const int m = static_cast<int>(members.size());
+    int index = root_index;  // members index of vrank vr
+    int first_mask = 1;      // smallest power of two above vr
+    for (int vr = 0; vr < m; ++vr, index = index + 1 == m ? 0 : index + 1) {
+      if (vr == first_mask) first_mask <<= 1;
+      double& ck = clk[static_cast<std::size_t>(
+          members[static_cast<std::size_t>(index)])];
+      if (vr > 0) ck = std::max(ck, arrive[static_cast<std::size_t>(vr)]);
+      for (int mask = first_mask; vr + mask < m; mask <<= 1) {
+        ck += bytes * b;
+        arrive[static_cast<std::size_t>(vr + mask)] = ck + a;
+      }
+    }
+  };
+  std::vector<int> world(static_cast<std::size_t>(nr));
+  std::iota(world.begin(), world.end(), 0);
   const auto frontier = [&] {
     return *std::max_element(clk.begin(), clk.end());
   };
@@ -278,29 +304,11 @@ std::vector<PhaseTime> predict_lu_phase_times(const std::string& algo, int n,
     }
     take(tournament);
 
-    // Step 3: one binomial-tree ghost broadcast of pivots + A00
-    // (collectives.hpp bcast shape: vrank order, children in increasing
-    // mask order, the payload forwarded hop-to-hop) from the tournament
-    // root over the whole active world.
-    {
-      const double bytes3 = 4.0 * v + 8.0 * v * v;
-      const int root = g.rank_of({0, py_c, l_star});
-      std::vector<double> arrive(static_cast<std::size_t>(nr), 0.0);
-      for (int vr = 0; vr < nr; ++vr) {
-        const int r = (vr + root) % nr;  // world group is iota(active)
-        if (vr > 0)
-          clk[static_cast<std::size_t>(r)] =
-              std::max(clk[static_cast<std::size_t>(r)],
-                       arrive[static_cast<std::size_t>(vr)]);
-        int first_mask = 1;
-        while (first_mask <= vr) first_mask <<= 1;
-        for (int mask = first_mask; vr + mask < nr; mask <<= 1) {
-          clk[static_cast<std::size_t>(r)] += bytes3 * b;
-          arrive[static_cast<std::size_t>(vr + mask)] =
-              clk[static_cast<std::size_t>(r)] + a;
-        }
-      }
-    }
+    // Step 3: two binomial-tree broadcasts from the tournament root, in
+    // the engine's order: the pivots over the whole active world, then A00
+    // over the engine's reader group (root first).
+    bcast(world, g.rank_of({0, py_c, l_star}), 4.0 * v);
+    bcast(grid::lu_a00_readers(g, t), 0, 8.0 * v * v);
     take(pivot);
 
     // Step 5: every rank ships its pivot-row partials (~v/px rows x its

@@ -9,7 +9,7 @@
 ///
 ///   layer_reduction   steps 1 + 5 (cross-layer panel reductions)
 ///   panel_tournament  step 2 (butterfly or reduction-tree pivoting)
-///   pivot_apply       step 3 (pivots + A00 broadcast to all ranks)
+///   pivot_apply       step 3 (pivots to all ranks, A00 to its readers)
 ///   trsm              steps 4/7/9 — local compute, zero wire bytes
 ///   schur_update      steps 8 + 10 (layer-sliced panel multicasts)
 ///
@@ -55,8 +55,8 @@ struct PhaseTime {
 /// predict_lu_phases replays the schedule's *size* arithmetic, this
 /// replays its *timing*: one clock per rank, advanced message-by-message
 /// in the engine's program order (panel reduction, tournament rounds, the
-/// binomial pivot broadcast, the lazy A01 reduction, the layer-sliced
-/// multicasts). The only approximation is the even pivot-row split, so
+/// binomial pivot and A00 broadcasts, the lazy A01 reduction, the
+/// layer-sliced multicasts). The only approximation is the even pivot-row split, so
 /// the prediction tracks a virtual-time dry run's measured makespan
 /// (FactorResult::predicted_seconds) to within a few percent — the tests
 /// hold it to 10%.

@@ -1,15 +1,21 @@
 // Communication-volume properties of the Cholesky family: the exact
 // DryRun == Numeric invariant (no pivots -> fully deterministic schedule),
-// the closed-form DAAP bound sandwich, the COnfCHOX < ScaLAPACK ordering
+// the exact step-2 L00 volume and its recipients, the closed-form DAAP
+// bound sandwich, the COnfCHOX < ScaLAPACK ordering
 // for replication depths c > 1, model-vs-measured agreement, and the
 // Cholesky < LU volume relation.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "cholesky/cholesky_common.hpp"
 #include "daap/kernels.hpp"
+#include "grid/grid3d.hpp"
 #include "linalg/generate.hpp"
 #include "lu/lu_common.hpp"
 #include "models/cost_model.hpp"
+#include "simnet/message.hpp"
+#include "support/telemetry.hpp"
 
 namespace conflux::cholesky {
 namespace {
@@ -54,6 +60,70 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple("COnfCHOX", 128, 16),
                       std::make_tuple("ScaLAPACK", 128, 8),
                       std::make_tuple("ScaLAPACK", 192, 9)));
+
+// Step 2 sends L00 (v x v, 8 B per entry) only to the Px panel leaders
+// (px, py_c, l_star), the ranks whose step-3 solve reads it, so the
+// panel_factor volume is exactly steps * (Px - 1) * 8v^2, and no other rank
+// receives a step-2 message.
+TEST(DiagonalBlock, PanelFactorVolumeIsExactAndReachesOnlyLeaders) {
+  struct Case {
+    int n, p, layers;
+  };
+  for (const Case cs : {Case{128, 8, 2}, Case{192, 18, 2},
+                        Case{144, 27, 3}}) {
+    const int front = cs.p / cs.layers;
+    const int px = static_cast<int>(std::sqrt(static_cast<double>(front)));
+    const grid::Grid3D g(px, front / px, cs.layers);
+    const Matrix a = generate(cs.n, MatrixKind::Spd, 91);
+    for (const Mode mode : {Mode::DryRun, Mode::Numeric}) {
+      const bool numeric = mode == Mode::Numeric;
+      const std::string where = "n=" + std::to_string(cs.n) + " p=" +
+                                std::to_string(cs.p) +
+                                (numeric ? " numeric" : " dry");
+      telemetry::TelemetryBoard board;
+      CholConfig cfg;
+      cfg.n = cs.n;
+      cfg.p = cs.p;
+      cfg.force_layers = cs.layers;
+      cfg.mode = mode;
+      cfg.verify = false;
+      cfg.telemetry = &board;
+      const CholResult res = make_cholesky_algorithm("COnfCHOX")->run(
+          numeric ? &a : nullptr, cfg);
+      ASSERT_EQ(res.grid, g.to_string()) << where;
+
+      const std::uint64_t v = static_cast<std::uint64_t>(res.block);
+      const std::uint64_t steps = static_cast<std::uint64_t>(cs.n) / v;
+      const std::uint64_t leaders_besides_root =
+          static_cast<std::uint64_t>(g.px_extent() - 1);
+      EXPECT_EQ(board.phase_totals().at(telemetry::kPanelFactor).bytes,
+                steps * leaders_besides_root * 8 * v * v)
+          << where;
+
+      // The L00 tree's messages carry make_tag(3, t) shifted left 8 bits
+      // by the broadcast's round tags.
+      std::vector<std::uint64_t> l00_per_step(steps, 0);
+      for (int r = 0; r < board.nranks(); ++r) {
+        const grid::Coord3 me = g.coord_of(r);
+        for (const telemetry::Event& e : board.rank_events(r)) {
+          const simnet::Tag user = e.tag >> 8;
+          if (e.kind != telemetry::EventKind::Recv ||
+              (user >> (simnet::kTagStepBits + simnet::kTagSubBits)) != 3)
+            continue;
+          const int t = static_cast<int>((user >> simnet::kTagSubBits) &
+                                         ((1u << simnet::kTagStepBits) - 1));
+          EXPECT_EQ(e.bytes, 8 * v * v) << where << " rank " << r;
+          EXPECT_TRUE(me.l == t % g.layers() && me.py == t % g.py_extent())
+              << where << ": L00 of step " << t << " reached rank " << r;
+          ++l00_per_step[static_cast<std::size_t>(t)];
+        }
+      }
+      for (std::uint64_t t = 0; t < steps; ++t)
+        EXPECT_EQ(l00_per_step[t], leaders_besides_root)
+            << where << " step " << t;
+    }
+  }
+}
 
 TEST(DryRun, DeterministicAcrossRepeats) {
   const CholResult a = run_mode("COnfCHOX", 256, 16, Mode::DryRun);

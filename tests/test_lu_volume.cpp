@@ -1,11 +1,17 @@
 // Communication-volume properties: the dry-run == numeric invariant that
-// licenses the figure-scale dry runs, the paper's volume ordering at scale,
-// the model-vs-measured agreement, and the §7.3 ablation claims.
+// licenses the figure-scale dry runs, the exact step-3 (pivots + A00)
+// volume and its recipients, the paper's volume ordering at scale, the
+// model-vs-measured agreement, and the §7.3 ablation claims.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "grid/grid3d.hpp"
 #include "linalg/generate.hpp"
 #include "lu/lu_common.hpp"
 #include "models/cost_model.hpp"
+#include "simnet/message.hpp"
+#include "support/telemetry.hpp"
 
 namespace conflux::lu {
 namespace {
@@ -51,6 +57,100 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple("LibSci", 192, 9),
                       std::make_tuple("SLATE", 128, 8),
                       std::make_tuple("CANDMC", 128, 16)));
+
+// Step 3 sends the v pivot indices (4 B each) to every other active rank,
+// but the v x v A00 block (8 B per entry) only to the ranks that read it:
+// the row leaders (px, py_c, l_star) and the aggregators (px_c, py, l_star),
+// Px + Py - 1 ranks counting the root. The pivot_apply volume is therefore
+// exact, steps * ((active - 1) 4v + (Px + Py - 2) 8v^2), in dry and numeric
+// runs alike (it does not depend on where the pivots land).
+TEST(DiagonalBlock, PivotApplyVolumeIsExactAndReachesOnlyReaders) {
+  struct Case {
+    int n, p, layers;
+  };
+  for (const char* algo : {"COnfLUX", "CALU"}) {
+    for (const Case cs : {Case{128, 8, 2}, Case{192, 18, 2},
+                          Case{144, 27, 3}}) {
+      const int front = cs.p / cs.layers;
+      const int px = static_cast<int>(std::sqrt(static_cast<double>(front)));
+      const grid::Grid3D g(px, front / px, cs.layers);
+      const Matrix a = generate(cs.n, MatrixKind::Uniform, 71);
+      std::uint64_t measured[2] = {0, 0};
+      for (const Mode mode : {Mode::DryRun, Mode::Numeric}) {
+        const bool numeric = mode == Mode::Numeric;
+        const std::string where = std::string(algo) + " n=" +
+                                  std::to_string(cs.n) + " p=" +
+                                  std::to_string(cs.p) +
+                                  (numeric ? " numeric" : " dry");
+        telemetry::TelemetryBoard board;
+        LuConfig cfg;
+        cfg.n = cs.n;
+        cfg.p = cs.p;
+        cfg.force_layers = cs.layers;
+        cfg.mode = mode;
+        cfg.verify = false;
+        cfg.telemetry = &board;
+        const LuResult res =
+            make_algorithm(algo)->run(numeric ? &a : nullptr, cfg);
+        ASSERT_EQ(res.grid, g.to_string()) << where;
+
+        const std::uint64_t v = static_cast<std::uint64_t>(res.block);
+        const std::uint64_t steps = static_cast<std::uint64_t>(cs.n) / v;
+        const std::uint64_t active = static_cast<std::uint64_t>(g.active());
+        const std::uint64_t readers_besides_root =
+            static_cast<std::uint64_t>(g.px_extent() + g.py_extent() - 2);
+        measured[numeric] =
+            board.phase_totals().at(telemetry::kPivotApply).bytes;
+        EXPECT_EQ(measured[numeric],
+                  steps * ((active - 1) * 4 * v +
+                           readers_besides_root * 8 * v * v))
+            << where;
+
+        // Every step-3 message carries a make_tag(3, t, sub) user tag,
+        // shifted left 8 bits by the broadcast's round tags: sub 0 is the
+        // pivot tree, sub 1 the A00 tree. Each non-root rank gets the
+        // pivots once per step; A00 arrives once at each non-root reader
+        // and nowhere else.
+        std::vector<std::uint64_t> a00_per_step(steps, 0);
+        for (int r = 0; r < board.nranks(); ++r) {
+          const grid::Coord3 me = g.coord_of(r);
+          std::uint64_t pivot_msgs = 0;
+          for (const telemetry::Event& e : board.rank_events(r)) {
+            const simnet::Tag user = e.tag >> 8;
+            if (e.kind != telemetry::EventKind::Recv ||
+                (user >> (simnet::kTagStepBits + simnet::kTagSubBits)) != 3)
+              continue;
+            const int t = static_cast<int>(
+                (user >> simnet::kTagSubBits) &
+                ((1u << simnet::kTagStepBits) - 1));
+            if (e.bytes != 8 * v * v) {
+              EXPECT_EQ(e.bytes, 4 * v) << where << " rank " << r;
+              ++pivot_msgs;
+              continue;
+            }
+            const int l_star = t % g.layers();
+            const bool reader =
+                me.l == l_star && (me.py == t % g.py_extent() ||
+                                   me.px == t % g.px_extent());
+            EXPECT_TRUE(reader)
+                << where << ": A00 of step " << t << " reached rank " << r;
+            ++a00_per_step[static_cast<std::size_t>(t)];
+          }
+          std::uint64_t rooted = 0;  // steps whose trees start at r
+          for (std::uint64_t t = 0; t < steps; ++t)
+            rooted += g.rank_of({0, static_cast<int>(t) % g.py_extent(),
+                                 static_cast<int>(t) % g.layers()}) == r;
+          EXPECT_EQ(pivot_msgs, steps - rooted) << where << " rank " << r;
+        }
+        for (std::uint64_t t = 0; t < steps; ++t)
+          EXPECT_EQ(a00_per_step[t], readers_besides_root)
+              << where << " step " << t;
+      }
+      // The pivots' placement changes the row splits, not step 3.
+      EXPECT_EQ(measured[0], measured[1]) << algo << " p=" << cs.p;
+    }
+  }
+}
 
 TEST(DryRun, DeterministicAcrossRepeats) {
   const LuResult a = run_mode("COnfLUX", 256, 16, Mode::DryRun);

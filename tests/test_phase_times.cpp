@@ -65,8 +65,9 @@ TEST(PhaseTimes, AlignWithPhaseVolumesAndSumToMakespan) {
     EXPECT_EQ(times[i].phase, volumes[i].phase);
     // Time is critical-path attributed, so a phase can move bytes off the
     // critical path at zero charged time — but never the reverse.
-    if (times[i].seconds > 0) EXPECT_GT(volumes[i].bytes, 0)
-        << times[i].phase;
+    if (times[i].seconds > 0) {
+      EXPECT_GT(volumes[i].bytes, 0) << times[i].phase;
+    }
     sum += times[i].seconds;
   }
   EXPECT_DOUBLE_EQ(
