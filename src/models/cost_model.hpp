@@ -86,9 +86,10 @@ class CandmcModel final : public CostModel {
 
 /// COnfLUX: N^3/(P sqrt M) leading term plus the lazy-reduction and scatter
 /// lower-order terms of Lemma 10, evaluated on the grid the implementation
-/// itself would pick. The step-3 tail is N (pivot indices) plus
-/// N v (Px + Py - 1) / active elements per rank: A00 goes only to the row
-/// leaders and aggregators that read it, not to every rank.
+/// itself would pick. The step-3 tail counts A00 and the pivot indices
+/// going to every rank (N v + N elements per rank), although the engine
+/// sends A00 only to the row leaders and aggregators that read it; see
+/// ConfluxModel::elements_per_rank for why.
 class ConfluxModel final : public CostModel {
  public:
   [[nodiscard]] std::string name() const override { return "COnfLUX"; }

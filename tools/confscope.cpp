@@ -330,7 +330,7 @@ void print_profile(const Profile& prof, const Options& opt, bool* volume_ok) {
               << fmt(100.0 *
                          (prof.run.total_bytes() - prof.model_total_bytes) /
                          prof.model_total_bytes,
-                     1)
+                     3)
               << "%";
   std::cout << ")\n\n";
 }
