@@ -61,6 +61,22 @@ void BM_GemmOptimized1024(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmOptimized1024)->Unit(benchmark::kMillisecond);
 
+// The COnfLUX/CALU Schur update: a rank-v (v = 16) product into a
+// 1024 x 1024 C, one shallow k-panel. The repeatable kernel-layer
+// counterpart of perfbench's traced gemm_gflops.k16.
+void BM_GemmRankV(benchmark::State& state) {
+  const int n = 1024, v = 16;
+  const auto a = linalg::generate(n, v, linalg::MatrixKind::Uniform, 1);
+  const auto b = linalg::generate(v, n, linalg::MatrixKind::Uniform, 2);
+  linalg::Matrix c(n, n);
+  for (auto _ : state) {
+    linalg::gemm(-1.0, a.view(), b.view(), 1.0, c.view());
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2LL * n * n * v);
+}
+BENCHMARK(BM_GemmRankV)->Unit(benchmark::kMicrosecond);
+
 void BM_TrsmRightUpper(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   auto u = linalg::generate(n, linalg::MatrixKind::DiagDominant, 3);

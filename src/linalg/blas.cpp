@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <cstring>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -179,16 +181,40 @@ void trsm_right_reference(Triangle tri, Diag diag, ConstMatrixView a,
 // NR-wide micro-panels; each thread packs its own MC x KC block of A into
 // MR-wide micro-panels and drives an MR x NR register-tiled microkernel.
 // Row blocks of C are independent, so the MC loop runs on the thread pool.
+//
+// Each C entry's sum has one fixed order, whatever the tile shape: per
+// k-panel of KC terms, an accumulator starts at 0 and takes the panel's
+// terms in order, one multiply-add each (one FMA on FMA builds, where GCC
+// contracts a * b + c by default); then c += alpha * acc, once per panel.
+// MR, NR and MC only choose which entries are computed together, so
+// changing them leaves every result bit-identical.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-// Tile sizes tuned empirically on the 1024^3 A/B benchmark (bench_kernels):
-// GCC turns the 4x8 accumulator tile into clean FMA code, and the deep
-// k-panel amortizes C write-back traffic. Larger MR/NR shapes spill.
-constexpr int kMR = 4;     ///< microkernel rows (C register tile height)
-constexpr int kNR = 8;     ///< microkernel cols (one 512-bit vector)
-constexpr int kMC = 128;   ///< rows of A packed per thread block
+// The register tile follows the vector ISA, from one kernel source: MR
+// rows by two vectors. Its accumulators stay in registers across the k
+// loop, beside the two B vectors and one broadcast A value:
+//  - AVX-512: 8 x 16, 16 of the 32 zmm registers accumulate; enough
+//    independent FMA chains to hide the FMA latency on two ports.
+//  - AVX2 and baseline: 6 x 8, 12 of the 16 ymm registers accumulate
+//    (baseline builds split each ymm-sized vector into two xmm halves).
+#if defined(__AVX512F__)
+constexpr int kVecBytes = 64;
+constexpr int kMR = 8;  ///< microkernel rows (C register tile height)
+#else
+constexpr int kVecBytes = 32;
+constexpr int kMR = 6;  ///< microkernel rows (C register tile height)
+#endif
+/// kLanes doubles; arithmetic between a double and a Vec broadcasts the
+/// double. GCC vector types alias their element type, so the microkernel
+/// may load as Vecs the packed B panels pack_b wrote as doubles.
+using Vec = double __attribute__((vector_size(kVecBytes)));
+constexpr int kLanes = kVecBytes / static_cast<int>(sizeof(double));
+constexpr int kNV = 2;             ///< vectors per tile row
+constexpr int kNR = kNV * kLanes;  ///< microkernel cols
+/// Rows of A packed per thread block: a whole number of MR tiles near 128.
+constexpr int kMC = 128 / kMR * kMR;
 constexpr int kKC = 1024;  ///< k-panel depth
 
 /// Problems at or below this flop count skip packing entirely; the
@@ -222,16 +248,21 @@ void pack_b(ConstMatrixView b, int k0, int kc, int n, double* pb) {
   }
 }
 
-/// acc[ir][jr] += sum_p pa[p*MR+ir] * pb[p*NR+jr]. With fixed MR/NR the
-/// inner loops fully unroll and vectorize into FMA register tiles.
-void micro_kernel(int kc, const double* pa, const double* pb,
-                  double acc[kMR][kNR]) {
+/// tile[ir][jr] = sum_p pa[p*MR+ir] * pb[p*NR+jr], from zero and in p
+/// order. The accumulators live in registers for the whole k loop and are
+/// stored once at the end.
+void micro_kernel(int kc, const double* pa, const Vec* pb,
+                  double tile[kMR][kNR]) {
+  Vec acc[kMR][kNV] = {};
   for (int p = 0; p < kc; ++p) {
+    const Vec* bp = pb + static_cast<std::ptrdiff_t>(p) * kNV;
     const double* ap = pa + static_cast<std::ptrdiff_t>(p) * kMR;
-    const double* bp = pb + static_cast<std::ptrdiff_t>(p) * kNR;
     for (int ir = 0; ir < kMR; ++ir)
-      for (int jr = 0; jr < kNR; ++jr) acc[ir][jr] += ap[ir] * bp[jr];
+      for (int v = 0; v < kNV; ++v) acc[ir][v] += ap[ir] * bp[v];
   }
+  for (int ir = 0; ir < kMR; ++ir)
+    for (int v = 0; v < kNV; ++v)
+      std::memcpy(&tile[ir][v * kLanes], &acc[ir][v], sizeof(Vec));
 }
 
 /// C += alpha * A * B through the packed, register-tiled loop nest. Each C
@@ -242,14 +273,22 @@ void optimized_core(double alpha, ConstMatrixView a, ConstMatrixView b,
   const int m = a.rows(), n = b.cols(), k = a.cols();
   if (alpha == 0.0 || k == 0) return;
 
+  // Packed B starts on a vector boundary inside a plain double buffer. An
+  // over-aligned allocation (std::vector<Vec>) raised the numeric
+  // benchmark's peak RSS by 13 MB.
   const int n_panels = (n + kNR - 1) / kNR;
   const int max_kc = std::min(kKC, k);
-  std::vector<double> packed_b(static_cast<std::size_t>(n_panels) * max_kc *
-                               kNR);
+  const std::size_t b_count =
+      static_cast<std::size_t>(n_panels) * max_kc * kNR;
+  std::vector<double> b_store(b_count + kLanes);
+  void* b_base = b_store.data();
+  std::size_t b_space = b_store.size() * sizeof(double);
+  auto* packed_b = static_cast<double*>(
+      std::align(sizeof(Vec), b_count * sizeof(double), b_base, b_space));
 
   for (int k0 = 0; k0 < k; k0 += kKC) {
     const int kc = std::min(kKC, k - k0);
-    pack_b(b, k0, kc, n, packed_b.data());
+    pack_b(b, k0, kc, n, packed_b);
 
     const int i_blocks = (m + kMC - 1) / kMC;
     support::parallel_for(0, i_blocks, [&](int ib) {
@@ -262,18 +301,18 @@ void optimized_core(double alpha, ConstMatrixView a, ConstMatrixView b,
 
       for (int jp = 0; jp < n; jp += kNR) {
         const int nr = std::min(kNR, n - jp);
-        const double* pb =
-            packed_b.data() + static_cast<std::ptrdiff_t>(jp / kNR) * kc * kNR;
+        const auto* pb = reinterpret_cast<const Vec*>(
+            packed_b + static_cast<std::ptrdiff_t>(jp / kNR) * kc * kNR);
         for (int ip = 0; ip < mc; ip += kMR) {
           const int mr = std::min(kMR, mc - ip);
           const double* pa =
               packed_a.data() + static_cast<std::ptrdiff_t>(ip / kMR) * kc * kMR;
-          double acc[kMR][kNR] = {};
-          micro_kernel(kc, pa, pb, acc);
+          double tile[kMR][kNR];
+          micro_kernel(kc, pa, pb, tile);
           for (int ir = 0; ir < mr; ++ir) {
             double* ci = c.row_base(i0 + ip + ir);
             for (int jr = 0; jr < nr; ++jr)
-              ci[c.col_offset(jp + jr)] += alpha * acc[ir][jr];
+              ci[c.col_offset(jp + jr)] += alpha * tile[ir][jr];
           }
         }
       }

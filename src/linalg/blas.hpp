@@ -16,7 +16,11 @@
 ///    the ground truth for testing;
 ///  - optimized: cache-blocked, packed, register-tiled kernels that run the
 ///    macro loops on the shared thread pool (src/support/thread_pool.hpp).
-///    TRSM is blocked so its bulk flops run through the optimized GEMM.
+///    The register tile follows the vector ISA at compile time (8 x 16
+///    under AVX-512, 6 x 8 otherwise), but each C entry is summed in the
+///    same order whatever the tile: per k-panel of 1024 terms, from zero,
+///    one multiply-add per term, then C += alpha * sum. TRSM is blocked so
+///    its bulk flops run through the optimized GEMM.
 ///
 /// The active implementation is a process-wide runtime switch: it defaults
 /// to Optimized, can be forced with CONFLUX_BLAS=reference|optimized, and

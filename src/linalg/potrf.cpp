@@ -84,12 +84,21 @@ Matrix extract_lower(ConstMatrixView llt) {
 
 double cholesky_residual(const Matrix& original, ConstMatrixView factored) {
   const int n = original.rows();
-  CONFLUX_EXPECTS(original.cols() == n && factored.rows() == n);
+  CONFLUX_EXPECTS(original.cols() == n && factored.rows() == n &&
+                  factored.cols() == n);
 
-  const Matrix l = extract_lower(factored);
-  Matrix lt(n, n);
-  for (int i = 0; i < n; ++i)
-    for (int j = 0; j <= i; ++j) lt(j, i) = l(i, j);
+  // L and L^T in one pass over the lower triangle, in square tiles so the
+  // transposed writes stay within a few cache lines per row.
+  constexpr int kTile = 64;
+  Matrix l(n, n), lt(n, n);
+  for (int i0 = 0; i0 < n; i0 += kTile)
+    for (int j0 = 0; j0 <= i0; j0 += kTile)
+      for (int i = i0; i < std::min(n, i0 + kTile); ++i)
+        for (int j = j0; j < std::min(i + 1, j0 + kTile); ++j) {
+          const double x = factored(i, j);
+          l(i, j) = x;
+          lt(j, i) = x;
+        }
   const double err = triangular_product_error(l.view(), lt.view(),
                                               original.view(), {},
                                               ProductEntries::Lower);

@@ -1,8 +1,10 @@
 // Tests for the BLAS-3 kernels: GEMM against a naive reference, the four
 // TRSM variants against explicit residuals, over parameterized shape sweeps,
-// and the scattered-C GEMM against a dense product plus an explicit scatter.
+// the scattered-C GEMM against a dense product plus an explicit scatter,
+// and the optimized GEMM bit for bit against its per-entry k-panel sums.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstddef>
@@ -369,8 +371,8 @@ INSTANTIATE_TEST_SUITE_P(
     Shapes, ScatteredGemmShape,
     ::testing::Values(std::make_tuple(5, 3, 7),       // under the small-GEMM
                                                       // threshold
-                      std::make_tuple(37, 29, 61),    // m, n off the 4 x 8 tile
-                      std::make_tuple(131, 13, 70),   // two row blocks of 128
+                      std::make_tuple(37, 29, 61),    // m, n off both tiles
+                      std::make_tuple(131, 13, 70),   // two row blocks of MC
                       std::make_tuple(21, 19, 1100)));  // two k-panels
 
 TEST(ScatteredGemm, TileLayoutWithPivotedRows) {
@@ -426,6 +428,97 @@ TEST(ScatteredGemm, OptimizedMinusOneMatchesSubtractingAZeroedProduct) {
       EXPECT_EQ(differ, 0u) << "m=" << m << " n=" << n << " k=" << k;
     }
 }
+
+// ---------------------------------------------------------------------------
+// Bitwise oracle: every C entry of the optimized GEMM is one fixed sum,
+// whatever register tile the ISA picks (8 x 16 on AVX-512, 6 x 8
+// elsewhere). Per k-panel of 1024 terms an accumulator starts at 0 and
+// takes the panel's terms in order, one fused multiply-add each; then
+// c += alpha * acc. With alpha = +-1 that write-back is exact whether or
+// not it fuses. The shapes put m and n on every side of both tiles' edges,
+// m below and above one MC row block, and k across panel boundaries; all
+// are above the small-GEMM threshold, so the dense path packs too.
+// ---------------------------------------------------------------------------
+
+constexpr int kPanelDepth = 1024;
+
+/// c0 + alpha * A * B, each entry summed the way the packed kernel sums it.
+Matrix panel_sum_oracle(double alpha, const Matrix& a, const Matrix& b,
+                        const Matrix& c0) {
+  const int k = a.cols();
+  Matrix out = c0;
+  for (int i = 0; i < out.rows(); ++i)
+    for (int j = 0; j < out.cols(); ++j)
+      for (int k0 = 0; k0 < k; k0 += kPanelDepth) {
+        double acc = 0.0;
+        for (int p = k0; p < std::min(k, k0 + kPanelDepth); ++p)
+          acc = std::fma(a(i, p), b(p, j), acc);
+        out(i, j) += alpha * acc;
+      }
+  return out;
+}
+
+std::size_t differing_bits(const Matrix& got, const Matrix& want) {
+  std::size_t differ = 0;
+  for (int i = 0; i < got.rows(); ++i)
+    for (int j = 0; j < got.cols(); ++j)
+      if (std::bit_cast<std::uint64_t>(got(i, j)) !=
+          std::bit_cast<std::uint64_t>(want(i, j)))
+        ++differ;
+  return differ;
+}
+
+class OptimizedGemmBits
+    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+
+TEST_P(OptimizedGemmBits, EqualsPerEntryPanelSums) {
+#if !defined(__FMA__)
+  GTEST_SKIP() << "the kernel fuses its multiply-adds only in FMA builds";
+#endif
+  const auto [m, n, k] = GetParam();
+  const Matrix a = generate(m, k, MatrixKind::Uniform, 51);
+  const Matrix b = generate(k, n, MatrixKind::Uniform, 52);
+  const Matrix c0 = generate(m, n, MatrixKind::Uniform, 53);
+  const ScatterMap map = gapped_map(m, n);
+  for (double alpha : {1.0, -1.0}) {
+    const Matrix want = panel_sum_oracle(alpha, a, b, c0);
+
+    Matrix dense = c0;
+    gemm_optimized(alpha, a.view(), b.view(), 1.0, dense.view());
+    EXPECT_EQ(differing_bits(dense, want), 0u)
+        << "dense m=" << m << " n=" << n << " k=" << k << " alpha=" << alpha;
+
+    std::vector<double> store(map.store_size);
+    std::vector<double*> rows;
+    for (std::ptrdiff_t off : map.row_off) rows.push_back(store.data() + off);
+    for (int i = 0; i < m; ++i)
+      for (int j = 0; j < n; ++j) rows[i][map.col_off[j]] = c0(i, j);
+    gemm_optimized(alpha, a.view(), b.view(), ScatteredView(rows, map.col_off));
+    Matrix scattered(m, n);
+    for (int i = 0; i < m; ++i)
+      for (int j = 0; j < n; ++j) scattered(i, j) = rows[i][map.col_off[j]];
+    EXPECT_EQ(differing_bits(scattered, want), 0u)
+        << "scattered m=" << m << " n=" << n << " k=" << k
+        << " alpha=" << alpha;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TileEdges, OptimizedGemmBits,
+    ::testing::Values(std::make_tuple(7, 15, 1100),   // inside one 8 x 16 tile
+                      std::make_tuple(9, 17, 1100),   // one past it
+                      std::make_tuple(6, 8, 2500),    // exactly one 6 x 8 tile
+                      std::make_tuple(10, 20, 600),   // m = 2 (mod 8), 4 (mod 6)
+                      std::make_tuple(12, 12, 800),   // m = 4 (mod 8), 0 (mod 6)
+                      std::make_tuple(14, 9, 900),    // m = 6 (mod 8), 2 (mod 6)
+                      std::make_tuple(13, 33, 300),   // n one past 2 x 16, 4 x 8
+                      std::make_tuple(5, 100, 257),   // m under both MR
+                      std::make_tuple(48, 47, 64),    // n one short of 3 x 16
+                      std::make_tuple(127, 31, 64),   // one MC block of 128, or
+                                                      // two of 126 (6 x 8)
+                      std::make_tuple(128, 16, 64),   // whole 8 x 16 tiles
+                      std::make_tuple(131, 23, 2049)));  // two MC blocks,
+                                                         // three k-panels
 
 TEST(ScatteredGemm, ShapeMismatchThrows) {
   const Matrix a(3, 2), b(2, 4);
